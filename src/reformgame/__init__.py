@@ -42,7 +42,6 @@ from .equilibrium import (
 )
 from .abm import (
     AbmEstimate,
-    Agent,
     Population,
     SimOutcome,
     best_response_cascade,

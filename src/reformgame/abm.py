@@ -9,10 +9,9 @@ and stops when the participating set no longer changes; success is then a
 single draw at the realized participation level.
 
 Agent state is held in parallel numpy arrays so that populations of 1e5
-agents replicate in milliseconds; :class:`Agent` objects are materialized
-on demand for inspection. All randomness flows from explicit integer seeds
-(replication seeds derive from the master seed by a splitmix64 counter), so
-identical inputs reproduce identical outputs bit for bit. Replications are
+agents replicate in milliseconds. All randomness flows from explicit
+integer seeds (replication seeds derive from the master seed by a
+splitmix64 counter), so identical inputs reproduce identical outputs bit for bit. Replications are
 independent; they may be dispatched in parallel as long as their seeds are
 assigned up front and results are aggregated in replication order.
 """
@@ -39,7 +38,6 @@ from .model import (
 )
 
 __all__ = [
-    "Agent",
     "Population",
     "SimOutcome",
     "AbmEstimate",
@@ -64,20 +62,6 @@ def derive_seed(master: int, index: int) -> int:
 
 
 @dataclass(frozen=True)
-class Agent:
-    """One member of the population.
-
-    Followers carry zero cost; a non-follower's cost lies in
-    [0, kappa_max]. An agent can only participate if reached by the call.
-    """
-
-    is_follower: bool
-    cost: float
-    reached: bool
-    participates: bool = False
-
-
-@dataclass(frozen=True)
 class Population:
     """Sampled agents, stored as parallel arrays keyed by agent index."""
 
@@ -86,18 +70,6 @@ class Population:
     reached: np.ndarray
     seed: int
     n: int
-
-    def agent(self, i: int, participates: bool = False) -> Agent:
-        return Agent(
-            is_follower=bool(self.is_follower[i]),
-            cost=float(self.cost[i]),
-            reached=bool(self.reached[i]),
-            participates=participates,
-        )
-
-    @property
-    def agents(self) -> list[Agent]:
-        return [self.agent(i) for i in range(self.n)]
 
 
 @dataclass(frozen=True)

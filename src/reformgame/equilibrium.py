@@ -62,12 +62,11 @@ class EquilibriumResult:
     closed form selected by ``convention``.
     """
 
+    convention: ThresholdConvention
     kappa_star: float
     x_star: float
-    expected_participation: float
     psi_star: float
     effective_gain: float
-    convention: ThresholdConvention
     iterations: int
     residual: float
     closed_form_gap: float
@@ -144,8 +143,12 @@ def closed_form_threshold(
     validate_params(params)
     if convention is None:
         convention = params.threshold_convention
-    gain = effective_gain(params)
-    inverse_gain = 1.0 / (params.a * params.gamma * gain)
+    scale = params.a * params.gamma * effective_gain(params)
+    if scale == 0.0:
+        # A partisan's call can carry no perceived gain (p2 = 0 under the
+        # PAPER posterior, p2 = 1 under BAYES); both closed forms tend to 0.
+        return 0.0
+    inverse_gain = 1.0 / scale
     tail = (1.0 - params.theta) / params.kappa_max
     if convention is ThresholdConvention.PAPER_LITERAL:
         return params.theta / (inverse_gain + tail)
@@ -207,12 +210,11 @@ def solve_fixed_point(
     psi_star = success_probability(params.a, params.phi, x_star)
     gap = abs(kappa - closed_form_threshold(params, params.threshold_convention))
     return EquilibriumResult(
+        convention=params.threshold_convention,
         kappa_star=kappa,
         x_star=x_star,
-        expected_participation=x_star,
         psi_star=psi_star,
         effective_gain=gain,
-        convention=params.threshold_convention,
         iterations=iterations,
         residual=residual,
         closed_form_gap=gap,

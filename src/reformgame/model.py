@@ -17,6 +17,7 @@ call concurrently; parameter objects are immutable after construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +33,7 @@ __all__ = [
     "ModelParams",
     "CostReport",
     "GAIN_ALLOCATION",
+    "PARAM_RANGES",
     "gain_allocation",
     "success_probability",
     "info_acquisition_cost",
@@ -46,6 +48,31 @@ __all__ = [
 # their endpoints; the endpoints are degenerate (total uncertainty or
 # total certainty) and break the closed forms.
 BOUNDARY_MARGIN = 1e-12
+
+_FLOAT_MAX = sys.float_info.max
+_ABOVE_ZERO = math.nextafter(0.0, math.inf)
+
+# Lowest and highest allowed value of every numeric ModelParams field, in
+# declaration order, with the rule quoted when a value is rejected. Open
+# ends are folded into closed bounds (BOUNDARY_MARGIN for the open unit
+# intervals, the next float up for a strict ">", the largest float for no
+# upper limit), so one chained comparison rejects NaN, +-inf and every
+# out-of-range value.
+PARAM_RANGES: dict[str, tuple[float, float, str]] = {
+    "a": (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, "must lie strictly inside (0.0, 1.0)"),
+    "phi": (math.nextafter(1.0, math.inf), _FLOAT_MAX, "must be > 1"),
+    "theta": (0.0, 1.0, "must lie in [0.0, 1.0]"),
+    "gamma": (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, "must lie strictly inside (0.0, 1.0)"),
+    "kappa_max": (_ABOVE_ZERO, _FLOAT_MAX, "must be > 0"),
+    "Gamma_gain": (_ABOVE_ZERO, _FLOAT_MAX, "must be > 0"),
+    "p1": (0.0, 1.0, "must lie in [0.0, 1.0]"),
+    "p2": (0.0, 1.0, "must lie in [0.0, 1.0]"),
+    "s": (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, "must lie strictly inside (0.0, 1.0)"),
+    "q": (_ABOVE_ZERO, _FLOAT_MAX, "must be > 0"),
+    "w": (0.0, _FLOAT_MAX, "must be >= 0"),
+    "G2": (0.0, _FLOAT_MAX, "must be >= 0"),
+    "G3": (0.0, _FLOAT_MAX, "must be >= 0"),
+}
 
 
 class DomainError(ValueError):
@@ -279,50 +306,23 @@ def optimal_info_effort(params: ModelParams, state: WorldState) -> float:
     return min(1.0, (1.0 - params.p1) * params.a * params.gamma * gain / params.q)
 
 
-def _require_interval(
-    name: str, value: float, lo: float, hi: float, open_ends: bool
-) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise ParameterError("field_range", f"{name} must be a finite number, got {value!r}")
-    if open_ends:
-        if not (lo + BOUNDARY_MARGIN <= value <= hi - BOUNDARY_MARGIN):
-            raise ParameterError(
-                "field_range", f"{name} must lie strictly inside ({lo}, {hi}), got {value}"
-            )
-    elif not (lo <= value <= hi):
-        raise ParameterError("field_range", f"{name} must lie in [{lo}, {hi}], got {value}")
-
-
 def validate_params(params: ModelParams) -> ModelParams:
     """Check every model invariant and return the parameters unchanged.
 
     Raises :class:`ParameterError` with a distinct ``constraint`` name for:
-    out-of-interval fields (``field_range``), a leader type inconsistent
-    with its gain profile (``leader_gain_profile``), a participant gain too
-    large for partial participation (``participant_gain_bound``), and a
-    policy-maker gain breaking the interior information-effort solution
+    a field outside its range in :data:`PARAM_RANGES`, NaN and infinities
+    included (``field_range``), a leader type inconsistent with its gain
+    profile (``leader_gain_profile``), a participant gain too large for
+    partial participation (``participant_gain_bound``), and a policy-maker
+    gain breaking the interior information-effort solution
     (``reformer_gain_bound``). Comparisons are exact; the bounds are strict.
     """
-    _require_interval("a", params.a, 0.0, 1.0, open_ends=True)
-    _require_interval("gamma", params.gamma, 0.0, 1.0, open_ends=True)
-    _require_interval("s", params.s, 0.0, 1.0, open_ends=True)
-    _require_interval("theta", params.theta, 0.0, 1.0, open_ends=False)
-    _require_interval("p1", params.p1, 0.0, 1.0, open_ends=False)
-    _require_interval("p2", params.p2, 0.0, 1.0, open_ends=False)
-    if not params.phi > 1.0:
-        raise ParameterError("field_range", f"phi must be > 1, got {params.phi}")
-    for name, value in (
-        ("kappa_max", params.kappa_max),
-        ("Gamma_gain", params.Gamma_gain),
-        ("q", params.q),
-    ):
-        if not value > 0.0:
-            raise ParameterError("field_range", f"{name} must be > 0, got {value}")
-    if params.w < 0.0:
-        raise ParameterError("field_range", f"w must be >= 0, got {params.w}")
-    for name, value in (("G2", params.G2), ("G3", params.G3)):
-        if value < 0.0:
-            raise ParameterError("field_range", f"{name} must be >= 0, got {value}")
+    for name, (lo, hi, rule) in PARAM_RANGES.items():
+        value = getattr(params, name)
+        if not lo <= value <= hi:
+            if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                rule = "must be a finite number"
+            raise ParameterError("field_range", f"{name} {rule}, got {value}")
 
     if params.leader_type is LeaderType.NON_PARTISAN:
         if params.G2 != 0.0 or not params.G3 > 0.0:

@@ -14,9 +14,12 @@ A scenario is a flat JSON object::
 ``params`` carries every :class:`~reformgame.model.ModelParams` field by
 name; the convention fields are optional and default to the
 derived-consistent threshold and the published posterior. The run-specific
-section must be present exactly when ``run`` requires it. All numbers are
-plain JSON numbers. Relative ``case_data`` paths resolve against the
-scenario file's directory.
+section must be present exactly when ``run`` requires it. Every numeric
+field must be a finite plain JSON number: the non-standard literals
+``NaN``, ``Infinity`` and ``-Infinity`` are a parse error, and a number
+beyond the float range is rejected by name (``params`` fields through the
+ranges in :data:`~reformgame.model.PARAM_RANGES`). Relative ``case_data``
+paths resolve against the scenario file's directory.
 
 Result writers emit CSV or JSON with floats at 12 significant digits and
 no timestamps, so identical runs produce byte-identical files.
@@ -26,7 +29,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -35,6 +39,7 @@ from typing import Any, Sequence
 from .abm import AbmEstimate
 from .equilibrium import EquilibriumReport, EquilibriumResult
 from .model import (
+    PARAM_RANGES,
     LeaderType,
     ModelParams,
     PosteriorConvention,
@@ -138,22 +143,6 @@ class BancarizationSeries:
     rate_percent: float
 
 
-_PARAM_NUMBER_FIELDS = (
-    "a",
-    "phi",
-    "theta",
-    "gamma",
-    "kappa_max",
-    "Gamma_gain",
-    "p1",
-    "p2",
-    "s",
-    "q",
-    "w",
-    "G2",
-    "G3",
-)
-
 _RUN_SECTION = {
     RunKind.SOLVE: None,
     RunKind.SIMULATE: "abm",
@@ -170,15 +159,19 @@ def bundled_path(name: str) -> Path:
     return path
 
 
+def _as_number(value: Any, field: str, label: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioSchemaError(field, f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioSchemaError(field, f"{label} is too large to be a float") from None
+
+
 def _require_number(obj: dict, key: str, where: str) -> float:
     if key not in obj:
         raise ScenarioSchemaError(f"{where}.{key}", f"missing required field {where}.{key}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioSchemaError(
-            f"{where}.{key}", f"{where}.{key} must be a number, got {value!r}"
-        )
-    return float(value)
+    return _as_number(obj[key], f"{where}.{key}", f"{where}.{key}")
 
 
 def _require_int(obj: dict, key: str, where: str) -> int:
@@ -223,13 +216,9 @@ def _enum_value(raw: str, enum_cls: type[Enum], where: str) -> Any:
 def _parse_params(obj: Any) -> ModelParams:
     if not isinstance(obj, dict):
         raise ScenarioSchemaError("params", "params must be an object")
-    allowed = _PARAM_NUMBER_FIELDS + (
-        "leader_type",
-        "threshold_convention",
-        "posterior_convention",
-    )
+    allowed = (*PARAM_RANGES, "leader_type", "threshold_convention", "posterior_convention")
     _check_unknown(obj, allowed, "params")
-    numbers = {name: _require_number(obj, name, "params") for name in _PARAM_NUMBER_FIELDS}
+    numbers = {name: _require_number(obj, name, "params") for name in PARAM_RANGES}
     leader = _enum_value(
         _require_str(obj, "leader_type", "params"), LeaderType, "params.leader_type"
     )
@@ -274,14 +263,10 @@ def _parse_sweep(obj: Any) -> SweepSettings:
     raw = obj.get("values")
     if not isinstance(raw, list) or not raw:
         raise ScenarioSchemaError("sweep.values", "sweep.values must be a non-empty array")
-    values = []
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioSchemaError(
-                "sweep.values", f"sweep.values[{i}] must be a number, got {v!r}"
-            )
-        values.append(float(v))
-    return SweepSettings(parameter_name=name, values=tuple(values))
+    values = tuple(_as_number(v, "sweep.values", f"sweep.values[{i}]") for i, v in enumerate(raw))
+    if not all(math.isfinite(v) for v in values):
+        raise ScenarioSchemaError("sweep.values", "sweep.values must be finite numbers")
+    return SweepSettings(parameter_name=name, values=values)
 
 
 def _parse_case_data(obj: Any) -> CaseDataSettings:
@@ -291,10 +276,15 @@ def _parse_case_data(obj: Any) -> CaseDataSettings:
     return CaseDataSettings(path=_require_str(obj, "path", "case_data"))
 
 
+def _reject_constant(literal: str) -> float:
+    raise ValueError(f"{literal} is not a JSON number")
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load and fully validate a scenario file.
 
-    Raises :class:`ScenarioParseError` for malformed JSON,
+    Raises :class:`ScenarioParseError` for malformed JSON (including the
+    non-standard ``NaN``/``Infinity`` literals),
     :class:`ScenarioSchemaError` for a shape violation (naming the field),
     and :class:`~reformgame.model.ParameterError` when the parameters break
     a model constraint.
@@ -302,8 +292,8 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:
         raise ScenarioParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ScenarioSchemaError("", "scenario must be a JSON object")
@@ -342,7 +332,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _params_to_dict(params: ModelParams) -> dict[str, Any]:
-    out: dict[str, Any] = {name: getattr(params, name) for name in _PARAM_NUMBER_FIELDS}
+    out: dict[str, Any] = {name: getattr(params, name) for name in PARAM_RANGES}
     out["leader_type"] = params.leader_type.value
     out["threshold_convention"] = params.threshold_convention.value
     out["posterior_convention"] = params.posterior_convention.value
@@ -396,132 +386,59 @@ def _json_number(value: float) -> float:
     return float(format(value, ".12g"))
 
 
-_EQUILIBRIUM_CSV_COLUMNS = (
-    "convention",
-    "kappa_star",
-    "x_star",
-    "psi_star",
-    "effective_gain",
-    "iterations",
-    "residual",
-    "closed_form_gap",
-)
+def _columns(record: Any) -> dict[str, Any]:
+    """A flat record's columns: its dataclass fields, in declaration order.
 
-_ABM_CSV_COLUMNS = (
-    "mean_x",
-    "stderr_x",
-    "mean_success_rate",
-    "replications",
-    "agents_per_replication",
-    "analytic_x",
-    "abs_gap",
-)
+    Both the CSV header and the JSON keys come from here.
+    """
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
-def _equilibrium_rows(result: EquilibriumResult) -> tuple[tuple[str, ...], list[tuple]]:
-    row = (
-        result.convention,
-        result.kappa_star,
-        result.x_star,
-        result.psi_star,
-        result.effective_gain,
-        result.iterations,
-        result.residual,
-        result.closed_form_gap,
-    )
-    return _EQUILIBRIUM_CSV_COLUMNS, [row]
+def _json_value(value: Any) -> Any:
+    if isinstance(value, float):
+        return _json_number(value)
+    if isinstance(value, Enum):
+        return value.value
+    return value
 
 
-def _sweep_rows(series: SweepSeries) -> tuple[tuple[str, ...], list[tuple]]:
-    header = ("parameter", "value", "kappa_star", "x_star", "psi_star")
-    rows = [
-        (series.parameter_name, value, point.kappa_star, point.x_star, point.psi_star)
-        for value, point in zip(series.values, series.outputs)
-    ]
-    return header, rows
+def _json_columns(record: Any) -> dict[str, Any]:
+    return {name: _json_value(value) for name, value in _columns(record).items()}
 
 
-def _abm_rows(est: AbmEstimate) -> tuple[tuple[str, ...], list[tuple]]:
-    row = tuple(getattr(est, name) for name in _ABM_CSV_COLUMNS)
-    return _ABM_CSV_COLUMNS, [row]
-
-
-def _case_rows(rows: Sequence[BancarizationSeries]) -> tuple[tuple[str, ...], list[tuple]]:
-    header = ("year", "banked_count", "total_active", "rate_percent")
-    data = [(r.year, r.banked_count, r.total_active, r.rate_percent) for r in rows]
-    return header, data
-
-
-def _to_table(result: Any) -> tuple[tuple[str, ...], list[tuple]]:
+def _flat_records(result: Any) -> list[Any]:
     if isinstance(result, EquilibriumReport):
         result = result.equilibrium
-    if isinstance(result, EquilibriumResult):
-        return _equilibrium_rows(result)
-    if isinstance(result, SweepSeries):
-        return _sweep_rows(result)
-    if isinstance(result, AbmEstimate):
-        return _abm_rows(result)
+    if isinstance(result, (EquilibriumResult, AbmEstimate)):
+        return [result]
     if isinstance(result, (list, tuple)) and result and all(
         isinstance(r, BancarizationSeries) for r in result
     ):
-        return _case_rows(result)
+        return list(result)
     raise TypeError(f"no writer for results of type {type(result).__name__}")
 
 
+def _to_table(result: Any) -> list[dict[str, Any]]:
+    if isinstance(result, SweepSeries):
+        return [
+            {"parameter": result.parameter_name, "value": value, **_columns(point)}
+            for value, point in zip(result.values, result.outputs)
+        ]
+    return [_columns(record) for record in _flat_records(result)]
+
+
 def _to_json_payload(result: Any) -> Any:
-    if isinstance(result, EquilibriumReport):
-        result = result.equilibrium
-    if isinstance(result, EquilibriumResult):
-        return {
-            "kappa_star": _json_number(result.kappa_star),
-            "x_star": _json_number(result.x_star),
-            "expected_participation": _json_number(result.expected_participation),
-            "psi_star": _json_number(result.psi_star),
-            "effective_gain": _json_number(result.effective_gain),
-            "convention": result.convention.value,
-            "iterations": result.iterations,
-            "residual": _json_number(result.residual),
-            "closed_form_gap": _json_number(result.closed_form_gap),
-        }
     if isinstance(result, SweepSeries):
         return {
             "parameter_name": result.parameter_name,
             "values": [_json_number(v) for v in result.values],
-            "outputs": [
-                {
-                    "kappa_star": _json_number(p.kappa_star),
-                    "x_star": _json_number(p.x_star),
-                    "psi_star": _json_number(p.psi_star),
-                }
-                for p in result.outputs
-            ],
+            "outputs": [_json_columns(p) for p in result.outputs],
             "monotonicity": result.monotonicity.value,
             "target": result.target,
             "skipped": [[_json_number(v), reason] for v, reason in result.skipped],
         }
-    if isinstance(result, AbmEstimate):
-        return {
-            "mean_x": _json_number(result.mean_x),
-            "stderr_x": _json_number(result.stderr_x),
-            "mean_success_rate": _json_number(result.mean_success_rate),
-            "replications": result.replications,
-            "agents_per_replication": result.agents_per_replication,
-            "analytic_x": _json_number(result.analytic_x),
-            "abs_gap": _json_number(result.abs_gap),
-        }
-    if isinstance(result, (list, tuple)) and result and all(
-        isinstance(r, BancarizationSeries) for r in result
-    ):
-        return [
-            {
-                "year": r.year,
-                "banked_count": r.banked_count,
-                "total_active": r.total_active,
-                "rate_percent": _json_number(r.rate_percent),
-            }
-            for r in result
-        ]
-    raise TypeError(f"no writer for results of type {type(result).__name__}")
+    records = [_json_columns(record) for record in _flat_records(result)]
+    return records if isinstance(result, (list, tuple)) else records[0]
 
 
 def write_results(result: Any, path: str | Path, format: str = "csv") -> None:
@@ -534,9 +451,9 @@ def write_results(result: Any, path: str | Path, format: str = "csv") -> None:
     """
     path = Path(path)
     if format == "csv":
-        header, rows = _to_table(result)
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+        rows = _to_table(result)
+        lines = [",".join(rows[0])]
+        lines += [",".join(_fmt(cell) for cell in row.values()) for row in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif format == "json":
         payload = _to_json_payload(result)

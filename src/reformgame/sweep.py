@@ -8,7 +8,13 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .equilibrium import closed_form_threshold, equilibrium_report
-from .model import DomainError, ModelParams, ParameterError, success_probability
+from .model import (
+    PARAM_RANGES,
+    DomainError,
+    ModelParams,
+    ParameterError,
+    success_probability,
+)
 
 __all__ = [
     "Monotonicity",
@@ -23,21 +29,7 @@ __all__ = [
 ]
 
 # Numeric ModelParams fields a grid may vary.
-SWEEPABLE_PARAMETERS = (
-    "a",
-    "phi",
-    "theta",
-    "gamma",
-    "kappa_max",
-    "Gamma_gain",
-    "p1",
-    "p2",
-    "s",
-    "q",
-    "w",
-    "G2",
-    "G3",
-)
+SWEEPABLE_PARAMETERS = tuple(PARAM_RANGES)
 
 # Verdicts must not flip on solver noise; the solver tolerance is 1e-12.
 MONOTONICITY_TOL = 1e-12
@@ -119,7 +111,7 @@ def grid_sweep(
     grid = [float(v) for v in values]
     if not grid:
         raise DomainError("sweep grid is empty")
-    if any(b - a <= 0 for a, b in zip(grid, grid[1:])):
+    if any(not b > a for a, b in zip(grid, grid[1:])):  # NaN fails too
         raise DomainError("sweep grid values must be strictly increasing")
 
     kept: list[float] = []

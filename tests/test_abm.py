@@ -63,13 +63,6 @@ class TestSpawnPopulation:
         assert (non_follower_costs >= 0.0).all()
         assert (non_follower_costs <= make_params().kappa_max).all()
 
-    def test_agent_accessors(self):
-        population = spawn_population(10, make_params(), seed=9)
-        agents = population.agents
-        assert len(agents) == 10
-        assert agents[3] == population.agent(3)
-        assert not agents[3].participates
-
     def test_rejects_empty_population(self):
         with pytest.raises(DomainError):
             spawn_population(0, make_params(), seed=1)

@@ -4,7 +4,7 @@ import pytest
 
 from reformgame import bundled_path, run_command
 
-from test_scenario import solve_payload, write_json
+from test_scenario import solve_payload, write_json, write_with_raw_number
 
 
 def run(argv):
@@ -44,6 +44,13 @@ class TestSolve:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["convention"] == "paper-literal"
         assert payload["closed_form_gap"] == pytest.approx(32 / 561, rel=1e-9)
+
+    @pytest.mark.parametrize("posterior,p2", [("paper", 0.0), ("bayes", 1.0)])
+    def test_zero_effective_gain(self, tmp_path, capsys, posterior, p2):
+        payload = solve_payload(params={"leader_type": "partisan", "G2": 1.0, "p2": p2,
+                                        "posterior_convention": posterior})
+        assert run(["solve", "--scenario", write_json(tmp_path, payload)]) == 0
+        assert "kappa_star = 0, x_star = 0.16," in capsys.readouterr().out
 
     def test_posterior_override_changes_partisan_solution(self, tmp_path):
         payload = solve_payload(params={"leader_type": "partisan", "G2": 1.0})
@@ -163,6 +170,24 @@ class TestErrorPaths:
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")
         assert run(["solve", "--scenario", path]) == 2
+
+    def test_nan_param_is_a_parse_error(self, tmp_path, capsys):
+        scenario = write_with_raw_number(tmp_path, solve_payload(params={"w": "X"}), "NaN")
+        assert run(["solve", "--scenario", scenario]) == 2
+        assert "NaN is not a JSON number" in capsys.readouterr().err
+
+    def test_param_beyond_float_range_exits_one(self, tmp_path, capsys):
+        scenario = write_with_raw_number(tmp_path, solve_payload(params={"w": "X"}), "1e400")
+        assert run(["solve", "--scenario", scenario]) == 1
+        assert "field_range: w must be a finite number, got inf" in capsys.readouterr().err
+
+    def test_nan_sweep_value_exits_two(self, tmp_path):
+        payload = solve_payload(run="sweep",
+                                sweep={"parameter_name": "theta", "values": [0.1, "X"]})
+        scenario = write_with_raw_number(tmp_path, payload, "NaN")
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "--scenario", scenario, "--format", "json", "--out", out]) == 2
+        assert not out.exists()
 
     def test_unknown_flag(self, capsys):
         assert run(["solve", "--bogus", "x"]) == 2

@@ -92,7 +92,6 @@ class TestSolveFixedPoint:
         assert result.kappa_star == pytest.approx(KAPPA_STAR, abs=1e-12)
         assert result.x_star == pytest.approx(X_STAR, abs=1e-12)
         assert result.psi_star == pytest.approx(PSI_STAR, abs=1e-12)
-        assert result.expected_participation == result.x_star
         assert result.effective_gain == 1.0
         assert result.convention is ThresholdConvention.DERIVED_CONSISTENT
         assert result.residual <= 1e-12
@@ -103,6 +102,23 @@ class TestSolveFixedPoint:
         assert result.kappa_star == 0.0
         assert result.x_star == 0.0
         assert result.psi_star == 0.0
+        assert result.closed_form_gap == 0.0
+
+    @pytest.mark.parametrize(
+        "posterior,p2", [(PosteriorConvention.PAPER, 0.0), (PosteriorConvention.BAYES, 1.0)]
+    )
+    @pytest.mark.parametrize("convention", list(ThresholdConvention))
+    def test_zero_effective_gain(self, posterior, p2, convention):
+        # The majority's posterior is 0, so only the reached followers join.
+        params = make_params(
+            leader_type=LeaderType.PARTISAN, G2=1.0, p2=p2,
+            posterior_convention=posterior, threshold_convention=convention,
+        )
+        assert effective_gain(params) == 0.0
+        assert closed_form_threshold(params) == 0.0
+        result = solve_fixed_point(params)
+        assert result.kappa_star == 0.0
+        assert result.x_star == pytest.approx(params.gamma * params.theta, rel=1e-15)
         assert result.closed_form_gap == 0.0
 
     def test_partisan_discount(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from reformgame import (
     Beneficiary,
     DomainError,
     LeaderType,
+    ModelParams,
     ParameterError,
     PosteriorConvention,
     WorldState,
@@ -22,6 +24,8 @@ from reformgame import (
 )
 
 from conftest import make_params
+
+NUMERIC_FIELDS = [f.name for f in fields(ModelParams) if f.type == "float"]
 
 
 class TestSuccessProbability:
@@ -270,12 +274,19 @@ class TestValidateParams:
             {"p1": 1.5},
             {"p2": -0.5},
             {"G3": -1.0},
+        ]
+        + [
+            {name: bad}
+            for name in NUMERIC_FIELDS
+            for bad in (math.nan, math.inf, -math.inf)
         ],
     )
     def test_field_ranges(self, overrides):
         with pytest.raises(ParameterError) as err:
             validate_params(make_params(**overrides))
         assert err.value.constraint == "field_range"
+        (name,) = overrides
+        assert str(err.value).startswith(f"field_range: {name} ")
 
     def test_theta_endpoints_allowed(self):
         validate_params(make_params(theta=0.0))

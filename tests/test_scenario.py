@@ -52,6 +52,13 @@ def write_json(tmp_path, payload, name="scenario.json"):
     return path
 
 
+def write_with_raw_number(tmp_path, payload, text):
+    """Write a scenario whose "X" placeholder is replaced by raw JSON text."""
+    path = write_json(tmp_path, payload)
+    path.write_text(path.read_text().replace('"X"', text), encoding="utf-8")
+    return path
+
+
 def solve_payload(**overrides):
     params = dict(BASE_PARAMS_JSON)
     params.update(overrides.pop("params", {}))
@@ -148,6 +155,24 @@ class TestLoadScenario:
         assert err.value.constraint == "participant_gain_bound"
         assert "kappa_max/(a*gamma)" in str(err.value)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_literals_are_parse_errors(self, tmp_path, literal):
+        path = write_with_raw_number(tmp_path, solve_payload(params={"w": "X"}), literal)
+        with pytest.raises(ScenarioParseError, match=literal):
+            load_scenario(path)
+
+    def test_numbers_beyond_the_float_range_named(self, tmp_path):
+        huge = 10**400
+        with pytest.raises(ScenarioSchemaError) as err:
+            load_scenario(write_json(tmp_path, solve_payload(params={"w": huge})))
+        assert err.value.field == "params.w"
+        payload = solve_payload(run="sweep",
+                                sweep={"parameter_name": "theta", "values": [0.1, "X"]})
+        for value in (str(huge), "1e400"):
+            with pytest.raises(ScenarioSchemaError) as err:
+                load_scenario(write_with_raw_number(tmp_path, payload, value))
+            assert err.value.field == "sweep.values"
+
     def test_scenario_must_be_object(self, tmp_path):
         path = tmp_path / "arr.json"
         path.write_text("[1, 2]", encoding="utf-8")
@@ -206,12 +231,10 @@ class TestWriteResults:
         write_results(result, path, "json")
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["kappa_star"] == pytest.approx(2 / 17, rel=1e-11)
-        assert payload["expected_participation"] == payload["x_star"]
         assert payload["convention"] == "derived-consistent"
         assert set(payload) == {
             "kappa_star",
             "x_star",
-            "expected_participation",
             "psi_star",
             "effective_gain",
             "convention",

@@ -81,6 +81,8 @@ class TestGridSweep:
         with pytest.raises(DomainError):
             grid_sweep(make_params(), "theta", [0.3, 0.3])
         with pytest.raises(DomainError):
+            grid_sweep(make_params(), "theta", [0.1, 0.3, math.nan, 0.2])
+        with pytest.raises(DomainError):
             grid_sweep(make_params(), "theta", [])
 
     def test_outputs_align_with_values(self):
