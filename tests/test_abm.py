@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, reject, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from reformgame import (
     DomainError,
     LeaderType,
+    ModelParams,
+    ParameterError,
     Population,
+    PosteriorConvention,
     WorldState,
     best_response_cascade,
     derive_seed,
@@ -15,7 +20,9 @@ from reformgame import (
     simulate_once,
     solve_fixed_point,
     spawn_population,
+    validate_params,
 )
+from reformgame.equilibrium import effective_gain
 
 from conftest import make_params
 
@@ -172,13 +179,130 @@ class TestSimulateOnce:
             outcome = simulate_once(population, params, seed=56, force_state=state)
             assert outcome.beneficiary.state is state
 
-    def test_cascade_is_monotone(self):
-        params = make_params()
-        for seed in range(5):
-            population = spawn_population(20_000, params, seed=seed)
+    @pytest.mark.parametrize(
+        "n,overrides,seeds",
+        [
+            (20_000, {}, range(5)),
+            # The first realized fraction lands below gamma*theta and the
+            # sequence falls from there: [0.145, 0.144].
+            (1000, {"Gamma_gain": 0.05}, [199]),
+        ],
+    )
+    def test_cascade_is_monotone(self, n, overrides, seeds):
+        params = make_params(**overrides)
+        for seed in seeds:
+            population = spawn_population(n, params, seed=seed)
             _, rounds, trajectory = best_response_cascade(population, params)
             assert rounds <= population.n
-            assert all(b >= a for a, b in zip(trajectory, trajectory[1:]))
+            steps = [b - a for a, b in zip(trajectory, trajectory[1:])]
+            assert all(d >= 0 for d in steps) or all(d <= 0 for d in steps)
+
+
+def _reference_cascade(population, params):
+    """Mask-per-round best-response cascade, kept as the reference.
+
+    Each round builds the full participation mask and stops when it equals
+    the previous round's; the package's cascade must match it bit for bit.
+    """
+    coef = params.a * effective_gain(params)
+    x_prev = params.gamma * params.theta
+    mask = population.reached & (population.cost <= coef * x_prev)
+    trajectory = [float(mask.sum()) / population.n]
+    rounds = 1
+    while rounds <= population.n:
+        nxt = population.reached & (population.cost <= coef * trajectory[-1])
+        if np.array_equal(nxt, mask):
+            break
+        mask = nxt
+        trajectory.append(float(mask.sum()) / population.n)
+        rounds += 1
+    return mask, rounds, trajectory
+
+
+def _cascade_params(
+    theta,
+    gain_share,
+    leader_type=LeaderType.NON_PARTISAN,
+    posterior=PosteriorConvention.PAPER,
+    p2=0.4,
+    a=0.5,
+    gamma=0.8,
+    kappa_max=1.0,
+):
+    """A parameter set whose participant gain is gain_share of its bound."""
+    reformer_gain = 0.5 / ((1.0 - 0.3) * a * gamma)
+    return ModelParams(
+        a=a,
+        phi=2.0,
+        theta=theta,
+        gamma=gamma,
+        kappa_max=kappa_max,
+        Gamma_gain=gain_share * kappa_max / (a * gamma),
+        p1=0.3,
+        p2=p2,
+        s=0.5,
+        q=1.0,
+        w=1.0,
+        G2=reformer_gain if leader_type is LeaderType.PARTISAN else 0.0,
+        G3=reformer_gain,
+        leader_type=leader_type,
+        posterior_convention=posterior,
+    )
+
+
+_PARTISAN = LeaderType.PARTISAN
+_PAPER = PosteriorConvention.PAPER
+_BAYES = PosteriorConvention.BAYES
+
+# Gains are drawn as a share of kappa_max/(a*gamma), often within 1e-3 of it.
+cascade_params = st.builds(
+    _cascade_params,
+    theta=st.floats(0.0, 1.0),
+    gain_share=st.floats(1e-6, 0.999) | st.floats(0.999, 1.0, exclude_max=True),
+    leader_type=st.sampled_from(LeaderType),
+    posterior=st.sampled_from(PosteriorConvention),
+    p2=st.floats(0.0, 1.0),
+    a=st.floats(0.01, 0.99),
+    gamma=st.floats(1e-3, 0.99),
+    kappa_max=st.floats(0.1, 5.0),
+)
+
+
+class TestCascadeEquivalence:
+    @given(
+        params=cascade_params,
+        n=st.integers(1000, 20_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # theta = 0: nobody is seeded, the cascade stops after one round.
+    @example(params=_cascade_params(0.0, 0.4), n=5000, seed=1)
+    # Small gamma: a handful of reached agents.
+    @example(params=_cascade_params(0.2, 0.5, gamma=1e-3), n=20_000, seed=2)
+    # A partisan under each posterior convention.
+    @example(params=_cascade_params(0.2, 0.9, _PARTISAN, _PAPER), n=8000, seed=3)
+    @example(params=_cascade_params(0.2, 0.9, _PARTISAN, _BAYES), n=8000, seed=4)
+    # Zero effective gain (Gamma_gain itself must be > 0): a partisan with
+    # p2 = 0 under the paper posterior and p2 = 1 under Bayes, and the
+    # smallest positive Gamma_gain.
+    @example(params=_cascade_params(0.2, 0.5, _PARTISAN, _PAPER, p2=0.0), n=3000, seed=5)
+    @example(params=_cascade_params(0.2, 0.5, _PARTISAN, _BAYES, p2=1.0), n=3000, seed=6)
+    @example(params=_cascade_params(0.2, 5e-324), n=3000, seed=7)
+    # Gamma_gain within 1e-3 of kappa_max/(a*gamma), at small and large theta.
+    @example(params=_cascade_params(0.05, 0.9995, a=0.9, gamma=0.95), n=20_000, seed=8)
+    @example(params=_cascade_params(0.9, 0.9995), n=20_000, seed=9)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_mask_reference(self, params, n, seed):
+        try:
+            validate_params(params)
+        except ParameterError:
+            reject()
+        population = spawn_population(n, params, seed)
+        mask, rounds, trajectory = best_response_cascade(population, params)
+        ref_mask, ref_rounds, ref_trajectory = _reference_cascade(population, params)
+        assert mask.dtype == ref_mask.dtype
+        assert np.array_equal(mask, ref_mask)
+        assert rounds == ref_rounds
+        assert trajectory == ref_trajectory
 
 
 class TestEstimateEquilibrium:
