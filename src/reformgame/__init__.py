@@ -78,6 +78,16 @@ from .scenario import (
     write_results,
     write_scenario,
 )
-from .cli import run_command
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The CLI loads on first use: importing it here would make
+    # `python -m reformgame.cli` run cli.py twice, once as reformgame.cli
+    # and once as __main__.
+    if name == "run_command":
+        from .cli import run_command
+
+        return run_command
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,8 +5,9 @@ costs, reach flags), realizes the world state, lets the policy maker decide
 whether to call, and then iterates the empirical best response: each reached
 agent joins once their cost falls below ``a * Gamma_eff`` times the previous
 round's participating fraction. The iteration starts from the follower core
-and stops when the participating set no longer changes; success is then a
-single draw at the realized participation level.
+and stops when the participating set no longer changes; each round costs one
+count over the population, and the participation mask is built once, at the
+end. Success is then a single draw at the realized participation level.
 
 Agent state is held in parallel numpy arrays so that populations of 1e5
 agents replicate in milliseconds. All randomness flows from explicit
@@ -139,26 +140,33 @@ def best_response_cascade(
 
     Seeds beliefs at the analytic follower core gamma*theta, then each round
     admits the reached agents whose cost is at most ``a * Gamma_eff`` times
-    the previous round's realized fraction. Followers (cost 0) stay in from
-    the first round, so the set ratchets up and the loop ends within n
-    rounds; a cap of n rounds guards it regardless.
+    the previous round's realized fraction. That map is monotone, so the
+    realized fractions are too: they rise if the first one lands above the
+    seed and fall if it lands below (it can), and either way the loop ends
+    within n rounds; a cap of n rounds guards it regardless.
+
+    Each round only counts its participants. The admitted sets are nested
+    in the threshold, so a repeated count means a repeated set; the mask is
+    built once, after the loop.
 
     Returns the final participation mask, the number of rounds executed, and
     the realized fraction after each round.
     """
+    reached, cost, n = population.reached, population.cost, population.n
     coef = params.a * effective_gain(params)
-    x_prev = params.gamma * params.theta
-    mask = population.reached & (population.cost <= coef * x_prev)
-    trajectory = [float(mask.sum()) / population.n]
+    threshold = coef * (params.gamma * params.theta)
+    count = int(np.count_nonzero(reached & (cost <= threshold)))
+    trajectory = [count / n]
     rounds = 1
-    while rounds <= population.n:
-        nxt = population.reached & (population.cost <= coef * trajectory[-1])
-        if np.array_equal(nxt, mask):
+    while rounds <= n:
+        next_threshold = coef * trajectory[-1]
+        next_count = int(np.count_nonzero(reached & (cost <= next_threshold)))
+        if next_count == count:
             break
-        mask = nxt
-        trajectory.append(float(mask.sum()) / population.n)
+        threshold, count = next_threshold, next_count
+        trajectory.append(count / n)
         rounds += 1
-    return mask, rounds, trajectory
+    return reached & (cost <= threshold), rounds, trajectory
 
 
 def simulate_once(
@@ -208,8 +216,8 @@ def simulate_once(
             participated=np.zeros(population.n, dtype=bool),
         )
 
-    mask, rounds, _ = best_response_cascade(population, params)
-    x_hat = float(mask.sum()) / population.n
+    mask, rounds, trajectory = best_response_cascade(population, params)
+    x_hat = trajectory[-1]
     psi = success_probability(params.a, params.phi, x_hat) if x_hat > 0.0 else 0.0
     success = bool(rng.random() < psi)
     return SimOutcome(

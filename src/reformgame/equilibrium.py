@@ -202,8 +202,8 @@ def solve_fixed_point(
         previous = residual
     if not within_tol:
         raise ConvergenceError(
-            f"no fixed point within {max_iter} iterations (residual {residual:.3e}); "
-            "the parameters violate the contraction condition"
+            f"no fixed point within {max_iter} iterations (residual {residual:.3e}, "
+            f"contraction modulus L = {slope:.6g})"
         )
 
     x_star = participation_fraction(params, kappa)

@@ -16,7 +16,8 @@ name; the convention fields are optional and default to the
 derived-consistent threshold and the published posterior. The run-specific
 section must be present exactly when ``run`` requires it. Every numeric
 field must be a finite plain JSON number: the non-standard literals
-``NaN``, ``Infinity`` and ``-Infinity`` are a parse error, and a number
+``NaN``, ``Infinity`` and ``-Infinity`` are a parse error naming where
+they sit, and a number
 beyond the float range is rejected by name (``params`` fields through the
 ranges in :data:`~reformgame.model.PARAM_RANGES`). Relative ``case_data``
 paths resolve against the scenario file's directory.
@@ -72,7 +73,16 @@ class ScenarioError(Exception):
 
 
 class ScenarioParseError(ScenarioError):
-    """The file is not well-formed JSON."""
+    """The file is not well-formed JSON.
+
+    ``field`` names where a non-standard literal (``NaN``, ``Infinity``,
+    ``-Infinity``) sits, such as ``params.w`` or ``sweep.values[2]``; it
+    is None for other syntax errors.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ScenarioSchemaError(ScenarioError):
@@ -276,25 +286,58 @@ def _parse_case_data(obj: Any) -> CaseDataSettings:
     return CaseDataSettings(path=_require_str(obj, "path", "case_data"))
 
 
-def _reject_constant(literal: str) -> float:
-    raise ValueError(f"{literal} is not a JSON number")
+class _Literal:
+    """Placeholder the parser leaves where a non-standard literal stood."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _find_literal(raw: Any) -> tuple[str, str] | None:
+    """Location and text of the first placeholder in raw, depth first."""
+    stack: list[tuple[str, Any]] = [("", raw)]
+    while stack:
+        where, node = stack.pop()
+        if isinstance(node, _Literal):
+            return where, node.text
+        if isinstance(node, dict):
+            children = [(f"{where}.{k}" if where else k, v) for k, v in node.items()]
+        elif isinstance(node, list):
+            children = [(f"{where}[{i}]", v) for i, v in enumerate(node)]
+        else:
+            continue
+        stack.extend(reversed(children))
+    return None
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load and fully validate a scenario file.
 
     Raises :class:`ScenarioParseError` for malformed JSON (including the
-    non-standard ``NaN``/``Infinity`` literals),
+    non-standard ``NaN``/``Infinity`` literals, whose location it names),
     :class:`ScenarioSchemaError` for a shape violation (naming the field),
     and :class:`~reformgame.model.ParameterError` when the parameters break
     a model constraint.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
+    literals: list[_Literal] = []
+
+    def keep_literal(text: str) -> _Literal:
+        literals.append(_Literal(text))
+        return literals[-1]
+
     try:
-        raw = json.loads(text, parse_constant=_reject_constant)
+        raw = json.loads(text, parse_constant=keep_literal)
     except ValueError as exc:
         raise ScenarioParseError(f"{path}: not valid JSON ({exc})") from exc
+    if literals:
+        # A literal overwritten by a later duplicate key has no location.
+        where, literal = _find_literal(raw) or ("", literals[0].text)
+        message = f"{path}: not valid JSON ({literal} is not a JSON number)"
+        raise ScenarioParseError(
+            f"{message} at {where}" if where else message, field=where or None
+        )
     if not isinstance(raw, dict):
         raise ScenarioSchemaError("", "scenario must be a JSON object")
 

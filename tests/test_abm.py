@@ -179,18 +179,12 @@ class TestSimulateOnce:
             outcome = simulate_once(population, params, seed=56, force_state=state)
             assert outcome.beneficiary.state is state
 
-    @pytest.mark.parametrize(
-        "n,overrides,seeds",
-        [
-            (20_000, {}, range(5)),
-            # The first realized fraction lands below gamma*theta and the
-            # sequence falls from there: [0.145, 0.144].
-            (1000, {"Gamma_gain": 0.05}, [199]),
-        ],
-    )
-    def test_cascade_is_monotone(self, n, overrides, seeds):
-        params = make_params(**overrides)
-        for seed in seeds:
+    def test_cascade_is_monotone(self):
+        cases = [(20_000, make_params(), seed) for seed in range(5)]
+        # The first realized fraction lands below gamma*theta and the
+        # sequence falls from there: [0.145, 0.144].
+        cases.append((1000, make_params(Gamma_gain=0.05), 199))
+        for n, params, seed in cases:
             population = spawn_population(n, params, seed=seed)
             _, rounds, trajectory = best_response_cascade(population, params)
             assert rounds <= population.n

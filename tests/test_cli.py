@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import reformgame
 from reformgame import bundled_path, run_command
 
 from test_scenario import solve_payload, write_json, write_with_raw_number
@@ -172,22 +177,40 @@ class TestErrorPaths:
         assert run(["solve", "--scenario", path]) == 2
 
     def test_nan_param_is_a_parse_error(self, tmp_path, capsys):
-        scenario = write_with_raw_number(tmp_path, solve_payload(params={"w": "X"}), "NaN")
-        assert run(["solve", "--scenario", scenario]) == 2
-        assert "NaN is not a JSON number" in capsys.readouterr().err
+        for literal in ("NaN", "Infinity", "-Infinity"):
+            scenario = write_with_raw_number(tmp_path, solve_payload(params={"w": "X"}), literal)
+            assert run(["solve", "--scenario", scenario]) == 2
+            err = capsys.readouterr().err
+            assert f"{literal} is not a JSON number) at params.w" in err
 
     def test_param_beyond_float_range_exits_one(self, tmp_path, capsys):
         scenario = write_with_raw_number(tmp_path, solve_payload(params={"w": "X"}), "1e400")
         assert run(["solve", "--scenario", scenario]) == 1
         assert "field_range: w must be a finite number, got inf" in capsys.readouterr().err
 
-    def test_nan_sweep_value_exits_two(self, tmp_path):
+    def test_nan_sweep_value_exits_two(self, tmp_path, capsys):
         payload = solve_payload(run="sweep",
                                 sweep={"parameter_name": "theta", "values": [0.1, "X"]})
-        scenario = write_with_raw_number(tmp_path, payload, "NaN")
         out = tmp_path / "sweep.json"
-        assert run(["sweep", "--scenario", scenario, "--format", "json", "--out", out]) == 2
-        assert not out.exists()
+        for literal in ("NaN", "Infinity", "-Infinity"):
+            scenario = write_with_raw_number(tmp_path, payload, literal)
+            assert run(["sweep", "--scenario", scenario, "--format", "json", "--out", out]) == 2
+            assert f"{literal} is not a JSON number) at sweep.values[1]" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_solver_cap_exits_three(self, tmp_path, capsys):
+        # Valid parameters at contraction modulus 0.99899: the solver stops
+        # at its iteration cap before the residual reaches its tolerance.
+        payload = solve_payload(params={"theta": 0.001, "Gamma_gain": 0.99999 * 2.5})
+        scenario = write_json(tmp_path, payload)
+        assert run(["validate", "--scenario", scenario]) == 0
+        capsys.readouterr()
+        assert run(["solve", "--scenario", scenario]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: no fixed point within 10000 iterations")
+        assert "contraction modulus L = 0.99899" in lines[0]
+        assert "violate" not in lines[0]
 
     def test_unknown_flag(self, capsys):
         assert run(["solve", "--bogus", "x"]) == 2
@@ -211,6 +234,19 @@ class TestErrorPaths:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestModuleEntryPoint:
+    def test_runs_without_warnings(self):
+        src = str(Path(reformgame.__file__).parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        argv = ["validate", "--scenario", str(bundled_path("baseline.json"))]
+        proc = subprocess.run([sys.executable, "-m", "reformgame.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "parameters valid" in proc.stdout
 
 
 class TestDeterminism:

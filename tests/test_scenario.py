@@ -158,8 +158,22 @@ class TestLoadScenario:
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_standard_literals_are_parse_errors(self, tmp_path, literal):
         path = write_with_raw_number(tmp_path, solve_payload(params={"w": "X"}), literal)
-        with pytest.raises(ScenarioParseError, match=literal):
+        with pytest.raises(ScenarioParseError, match=literal) as err:
             load_scenario(path)
+        assert err.value.field == "params.w"
+        assert str(err.value).endswith(f"({literal} is not a JSON number) at params.w")
+        payload = solve_payload(run="sweep",
+                                sweep={"parameter_name": "theta", "values": [0.1, 0.2, "X"]})
+        with pytest.raises(ScenarioParseError, match=literal) as err:
+            load_scenario(write_with_raw_number(tmp_path, payload, literal))
+        assert err.value.field == "sweep.values[2]"
+
+    def test_literal_without_a_location_is_still_rejected(self, tmp_path):
+        # A later duplicate key drops the literal from the parsed document.
+        path = write_with_raw_number(tmp_path, solve_payload(params={"w": "X"}), "NaN, \"w\": 1.0")
+        with pytest.raises(ScenarioParseError, match="NaN is not a JSON number") as err:
+            load_scenario(path)
+        assert err.value.field is None
 
     def test_numbers_beyond_the_float_range_named(self, tmp_path):
         huge = 10**400
