@@ -286,20 +286,17 @@ def _parse_case_data(obj: Any) -> CaseDataSettings:
     return CaseDataSettings(path=_require_str(obj, "path", "case_data"))
 
 
-class _Literal:
-    """Placeholder the parser leaves where a non-standard literal stood."""
-
-    def __init__(self, text: str):
-        self.text = text
+class _Literal(str):
+    """A non-standard literal, left by the parser where it stood."""
 
 
-def _find_literal(raw: Any) -> tuple[str, str] | None:
-    """Location and text of the first placeholder in raw, depth first."""
+def _find_literal(raw: Any) -> tuple[str, _Literal] | None:
+    """Location and text of the first literal in raw, depth first."""
     stack: list[tuple[str, Any]] = [("", raw)]
     while stack:
         where, node = stack.pop()
         if isinstance(node, _Literal):
-            return where, node.text
+            return where, node
         if isinstance(node, dict):
             children = [(f"{where}.{k}" if where else k, v) for k, v in node.items()]
         elif isinstance(node, list):
@@ -323,8 +320,8 @@ def load_scenario(path: str | Path) -> Scenario:
     text = path.read_text(encoding="utf-8")
     literals: list[_Literal] = []
 
-    def keep_literal(text: str) -> _Literal:
-        literals.append(_Literal(text))
+    def keep_literal(literal: str) -> _Literal:
+        literals.append(_Literal(literal))
         return literals[-1]
 
     try:
@@ -333,7 +330,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioParseError(f"{path}: not valid JSON ({exc})") from exc
     if literals:
         # A literal overwritten by a later duplicate key has no location.
-        where, literal = _find_literal(raw) or ("", literals[0].text)
+        where, literal = _find_literal(raw) or ("", literals[0])
         message = f"{path}: not valid JSON ({literal} is not a JSON number)"
         raise ScenarioParseError(
             f"{message} at {where}" if where else message, field=where or None
