@@ -20,6 +20,7 @@ assigned up front and results are aggregated in replication order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,6 @@ from .model import (
     optimal_info_effort,
     state_probabilities,
     success_probability,
-    validate_params,
 )
 
 __all__ = [
@@ -108,9 +108,8 @@ def spawn_population(n: int, params: ModelParams, seed: int) -> Population:
     (follower uniforms, then costs, then reach uniforms) so that raising
     theta under a common seed only converts non-followers into followers.
     """
-    validate_params(params)
-    if n < 1:
-        raise DomainError(f"population size must be >= 1, got {n}")
+    if not 1 <= n <= sys.maxsize // 8:  # the largest float64 array numpy can describe
+        raise DomainError(f"population size n must lie in [1, {sys.maxsize // 8}], got {n}")
     rng = np.random.default_rng(seed)
     is_follower = rng.random(n) < params.theta
     cost = np.where(is_follower, 0.0, rng.uniform(0.0, params.kappa_max, size=n))
@@ -185,7 +184,6 @@ def simulate_once(
     information-effort probability; ``force_call`` bypasses both gates to
     isolate the participation game. Without a call nobody participates.
     """
-    validate_params(params)
     rng = np.random.default_rng(seed)
 
     state = force_state if force_state is not None else _state_from_uniform(
@@ -242,7 +240,6 @@ def estimate_equilibrium(
     deterministically from the master seed; results aggregate in
     replication order.
     """
-    validate_params(params)
     if n < 1000:
         raise DomainError(f"need at least 1000 agents per replication, got {n}")
     if replications < 2:

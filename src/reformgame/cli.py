@@ -185,10 +185,7 @@ def run_command(argv: list[str]) -> int:
     except DomainError as exc:  # includes ParameterError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_PARAMS
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ConvergenceError as exc:

@@ -28,7 +28,6 @@ from .model import (
     partisan_participation_cost,
     posterior_change_state,
     success_probability,
-    validate_params,
 )
 
 __all__ = [
@@ -100,7 +99,6 @@ def best_response_map(params: ModelParams, kappa: float) -> float:
     kappa_max)/kappa_max)`` and the next-round threshold is ``a * Gamma_eff``
     times that fraction.
     """
-    validate_params(params)
     if kappa < 0.0:
         raise DomainError(f"threshold kappa must be >= 0, got {kappa}")
     gain = effective_gain(params)
@@ -119,7 +117,6 @@ def participation_fraction(params: ModelParams, kappa_star: float) -> float:
     All reached followers participate, plus reached non-followers with cost
     up to the threshold; the result lies in [gamma*theta, gamma].
     """
-    validate_params(params)
     if not (0.0 <= kappa_star <= params.kappa_max):
         raise DomainError(
             f"kappa_star must lie in [0, kappa_max = {params.kappa_max}], got {kappa_star}"
@@ -140,13 +137,12 @@ def closed_form_threshold(
     that variant is increasing in kappa_max, contradicting the stated
     comparative statics, and is kept for reference only.
     """
-    validate_params(params)
     if convention is None:
         convention = params.threshold_convention
     scale = params.a * params.gamma * effective_gain(params)
-    if scale == 0.0:
-        # A partisan's call can carry no perceived gain (p2 = 0 under the
-        # PAPER posterior, p2 = 1 under BAYES); both closed forms tend to 0.
+    if scale == 0.0 or params.theta == 0.0:
+        # No followers, or a partisan call with no perceived gain (p2 = 0
+        # under the PAPER posterior, p2 = 1 under BAYES): both forms are 0.
         return 0.0
     inverse_gain = 1.0 / scale
     tail = (1.0 - params.theta) / params.kappa_max
@@ -155,8 +151,8 @@ def closed_form_threshold(
     denom = inverse_gain - tail
     if denom <= 0.0:
         raise DomainError(
-            "closed form undefined: a*gamma*Gamma_eff*(1-theta) >= kappa_max "
-            "(the participant gain bound rules this out for validated parameters)"
+            "closed form undefined: 1/(a*gamma*Gamma_eff) - (1-theta)/kappa_max "
+            "rounds to <= 0 (theta near 0 with Gamma_gain at its bound)"
         )
     return params.theta / denom
 
@@ -173,7 +169,6 @@ def solve_fixed_point(
     strictly below ``kappa_max``; the contraction modulus then guarantees
     convergence long before ``max_iter``.
     """
-    validate_params(params)
     if tol <= 0.0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
     if max_iter < 1:

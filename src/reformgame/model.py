@@ -182,7 +182,7 @@ class ModelParams:
         threshold_convention: closed form reported for the threshold.
         posterior_convention: belief-update rule after a partisan's call.
 
-    Construction does not validate; call :func:`validate_params`.
+    Construction (``dataclasses.replace`` too) calls :func:`validate_params`.
     """
 
     a: float
@@ -201,6 +201,9 @@ class ModelParams:
     leader_type: LeaderType = LeaderType.NON_PARTISAN
     threshold_convention: ThresholdConvention = ThresholdConvention.DERIVED_CONSISTENT
     posterior_convention: PosteriorConvention = PosteriorConvention.PAPER
+
+    def __post_init__(self) -> None:
+        validate_params(self)
 
 
 @dataclass(frozen=True)
@@ -296,13 +299,9 @@ def optimal_info_effort(params: ModelParams, state: WorldState) -> float:
     ``min(1, (1 - p1) * a * gamma * G_i / q)``. Under the reformer gain
     bound the interior solution is strictly below 1.
     """
-    if params.q <= 0.0:
-        raise DomainError(f"ability scale q must be > 0, got {params.q}")
     if state is WorldState.E1:
         raise DomainError("no reform gain is defined for the status-quo state")
     gain = params.G2 if state is WorldState.E2 else params.G3
-    if gain == 0.0:
-        return 0.0
     return min(1.0, (1.0 - params.p1) * params.a * params.gamma * gain / params.q)
 
 
@@ -316,6 +315,7 @@ def validate_params(params: ModelParams) -> ModelParams:
     partial participation (``participant_gain_bound``), and a policy-maker
     gain breaking the interior information-effort solution
     (``reformer_gain_bound``). Comparisons are exact; the bounds are strict.
+    Constructing a :class:`ModelParams` calls this.
     """
     for name, (lo, hi, rule) in PARAM_RANGES.items():
         value = getattr(params, name)

@@ -14,13 +14,13 @@ A scenario is a flat JSON object::
 ``params`` carries every :class:`~reformgame.model.ModelParams` field by
 name; the convention fields are optional and default to the
 derived-consistent threshold and the published posterior. The run-specific
-section must be present exactly when ``run`` requires it. Every numeric
-field must be a finite plain JSON number: the non-standard literals
-``NaN``, ``Infinity`` and ``-Infinity`` are a parse error naming where
-they sit, and a number
-beyond the float range is rejected by name (``params`` fields through the
-ranges in :data:`~reformgame.model.PARAM_RANGES`). Relative ``case_data``
-paths resolve against the scenario file's directory.
+section must be present exactly when ``run`` requires it, and no key may
+repeat within an object. Every numeric field must be a finite plain JSON
+number: the non-standard literals ``NaN``, ``Infinity`` and ``-Infinity``
+are a parse error naming where they sit, and a number beyond the float
+range is rejected by name (``params`` fields through the ranges in
+:data:`~reformgame.model.PARAM_RANGES`). Relative ``case_data`` paths
+resolve against the scenario file's directory.
 
 Result writers emit CSV or JSON with floats at 12 significant digits and
 no timestamps, so identical runs produce byte-identical files.
@@ -45,7 +45,6 @@ from .model import (
     ModelParams,
     PosteriorConvention,
     ThresholdConvention,
-    validate_params,
 )
 from .sweep import SweepSeries
 
@@ -290,12 +289,16 @@ class _Literal(str):
     """A non-standard literal, left by the parser where it stood."""
 
 
-def _find_literal(raw: Any) -> tuple[str, _Literal] | None:
-    """Location and text of the first literal in raw, depth first."""
+class _Repeated(str):
+    """A key given more than once in one object, left in place of its values."""
+
+
+def _find(raw: Any, kind: type[str]) -> tuple[str, str] | None:
+    """Location and text of the first marker of this kind in raw, depth first."""
     stack: list[tuple[str, Any]] = [("", raw)]
     while stack:
         where, node = stack.pop()
-        if isinstance(node, _Literal):
+        if isinstance(node, kind):
             return where, node
         if isinstance(node, dict):
             children = [(f"{where}.{k}" if where else k, v) for k, v in node.items()]
@@ -312,29 +315,42 @@ def load_scenario(path: str | Path) -> Scenario:
 
     Raises :class:`ScenarioParseError` for malformed JSON (including the
     non-standard ``NaN``/``Infinity`` literals, whose location it names),
-    :class:`ScenarioSchemaError` for a shape violation (naming the field),
-    and :class:`~reformgame.model.ParameterError` when the parameters break
-    a model constraint.
+    :class:`ScenarioSchemaError` for a shape violation or a repeated key
+    (naming the field), and :class:`~reformgame.model.ParameterError` when
+    the parameters break a model constraint.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     literals: list[_Literal] = []
+    repeats: list[dict[str, _Repeated]] = []
 
     def keep_literal(literal: str) -> _Literal:
         literals.append(_Literal(literal))
         return literals[-1]
 
+    def mark_repeats(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeats.append({key: _Repeated(key) for key in obj if keys.count(key) > 1})
+            obj.update(repeats[-1])
+        return obj
+
     try:
-        raw = json.loads(text, parse_constant=keep_literal)
+        raw = json.loads(text, parse_constant=keep_literal, object_pairs_hook=mark_repeats)
     except ValueError as exc:
         raise ScenarioParseError(f"{path}: not valid JSON ({exc})") from exc
     if literals:
-        # A literal overwritten by a later duplicate key has no location.
-        where, literal = _find_literal(raw) or ("", literals[0])
+        # A literal under a repeated key has no location.
+        where, literal = _find(raw, _Literal) or ("", literals[0])
         message = f"{path}: not valid JSON ({literal} is not a JSON number)"
         raise ScenarioParseError(
             f"{message} at {where}" if where else message, field=where or None
         )
+    if repeats:
+        # Always found: an object missing from raw sat under a repeated key.
+        where, _ = _find(raw, _Repeated)
+        raise ScenarioSchemaError(where, f"duplicate field {where}")
     if not isinstance(raw, dict):
         raise ScenarioSchemaError("", "scenario must be a JSON object")
 
@@ -343,7 +359,7 @@ def load_scenario(path: str | Path) -> Scenario:
     run = _enum_value(_require_str(raw, "run", "scenario"), RunKind, "run")
     if "params" not in raw:
         raise ScenarioSchemaError("params", "missing required field params")
-    params = validate_params(_parse_params(raw["params"]))
+    params = _parse_params(raw["params"])
 
     sections = {
         "abm": _parse_abm(raw["abm"]) if "abm" in raw else None,

@@ -118,9 +118,8 @@ def grid_sweep(
     points: list[SweepPoint] = []
     skipped: list[tuple[float, str]] = []
     for value in grid:
-        candidate = replace(base, **{parameter_name: value})
         try:
-            report = equilibrium_report(candidate)
+            report = equilibrium_report(replace(base, **{parameter_name: value}))
         except ParameterError as exc:
             skipped.append((value, str(exc)))
             continue
@@ -211,25 +210,19 @@ def finite_difference_sensitivity(
 
     center = float(getattr(base, parameter_name))
 
-    def threshold_at(value: float) -> float:
-        return closed_form_threshold(replace(base, **{parameter_name: value}))
+    def threshold_at(value: float) -> float | None:
+        try:
+            return closed_form_threshold(replace(base, **{parameter_name: value}))
+        except ParameterError:  # outside the valid parameter region
+            return None
 
-    plus_ok = minus_ok = True
-    try:
-        upper = threshold_at(center + h)
-    except ParameterError:
-        plus_ok = False
-    try:
-        lower = threshold_at(center - h)
-    except ParameterError:
-        minus_ok = False
-
-    if plus_ok and minus_ok:
+    upper, lower = threshold_at(center + h), threshold_at(center - h)
+    if upper is not None and lower is not None:
         return (upper - lower) / (2.0 * h)
-    if plus_ok:
-        return (upper - threshold_at(center)) / h
-    if minus_ok:
-        return (threshold_at(center) - lower) / h
+    if upper is not None:
+        return (upper - closed_form_threshold(base)) / h
+    if lower is not None:
+        return (closed_form_threshold(base) - lower) / h
     raise ParameterError(
         "sensitivity_stencil",
         f"{parameter_name} = {center} +/- {h} leaves the valid parameter region on both sides",

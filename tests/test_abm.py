@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, reject, settings
@@ -73,6 +75,14 @@ class TestSpawnPopulation:
     def test_rejects_empty_population(self):
         with pytest.raises(DomainError):
             spawn_population(0, make_params(), seed=1)
+
+    @pytest.mark.parametrize("n", [10**20, sys.maxsize // 8 + 1])
+    def test_rejects_population_beyond_any_array(self, n):
+        # Checked before anything is allocated; no size that might really
+        # allocate is tried.
+        bound = sys.maxsize // 8
+        with pytest.raises(DomainError, match=rf"size n must lie in \[1, {bound}\], got {n}"):
+            spawn_population(n, make_params(), seed=1)
 
     def test_cost_sampler_is_uniform(self):
         # Kolmogorov-Smirnov check at the 1% level: all agents are

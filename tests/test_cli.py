@@ -57,6 +57,14 @@ class TestSolve:
         assert run(["solve", "--scenario", write_json(tmp_path, payload)]) == 0
         assert "kappa_star = 0, x_star = 0.16," in capsys.readouterr().out
 
+    def test_no_followers_at_the_float_gain_bound(self, tmp_path, capsys):
+        payload = solve_payload(params={"kappa_max": 0.8, "theta": 0.0,
+                                        "Gamma_gain": 1.9999999999999998})
+        scenario = write_json(tmp_path, payload)
+        assert run(["validate", "--scenario", scenario]) == 0
+        assert run(["solve", "--scenario", scenario]) == 0
+        assert "kappa_star = 0, x_star = 0," in capsys.readouterr().out
+
     def test_posterior_override_changes_partisan_solution(self, tmp_path):
         payload = solve_payload(params={"leader_type": "partisan", "G2": 1.0})
         scenario = write_json(tmp_path, payload)
@@ -122,6 +130,18 @@ class TestSimulate:
         assert code == 2
         assert "abm" in capsys.readouterr().err
 
+    def test_impossible_population_size_exits_one(self, tmp_path, capsys):
+        huge = 10**20
+        base = bundled_path("baseline_simulate.json")
+        payload = json.loads(base.read_text(encoding="utf-8"))
+        payload["abm"]["n"] = huge
+        for argv in (["--scenario", base, "--agents", huge],
+                     ["--scenario", write_json(tmp_path, payload)]):
+            assert run(["simulate", *argv]) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert lines == [f"error: population size n must lie in [1, {sys.maxsize // 8}], "
+                             f"got {huge}"]
+
     def test_seed_override_changes_output(self, tmp_path):
         base = bundled_path("baseline_simulate.json")
         out_a = tmp_path / "a.csv"
@@ -182,6 +202,12 @@ class TestErrorPaths:
             assert run(["solve", "--scenario", scenario]) == 2
             err = capsys.readouterr().err
             assert f"{literal} is not a JSON number) at params.w" in err
+
+    def test_repeated_key_exits_two(self, tmp_path, capsys):
+        payload = solve_payload(params={"w": "X"})
+        scenario = write_with_raw_number(tmp_path, payload, '5.0, "w": 1.0')
+        assert run(["solve", "--scenario", scenario]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: duplicate field params.w"]
 
     def test_param_beyond_float_range_exits_one(self, tmp_path, capsys):
         scenario = write_with_raw_number(tmp_path, solve_payload(params={"w": "X"}), "1e400")

@@ -121,6 +121,20 @@ class TestSolveFixedPoint:
         assert result.x_star == pytest.approx(params.gamma * params.theta, rel=1e-15)
         assert result.closed_form_gap == 0.0
 
+    @pytest.mark.parametrize("convention", list(ThresholdConvention))
+    def test_no_followers_at_the_float_gain_bound(self, convention):
+        # Gamma_gain is the float just below kappa_max/(a*gamma) = 2, where
+        # the closed form's denominator 1/(a*gamma*Gamma_gain) - 1/kappa_max
+        # rounds to 0.
+        params = make_params(kappa_max=0.8, theta=0.0, Gamma_gain=1.9999999999999998,
+                             threshold_convention=convention)
+        assert 1.0 / (params.a * params.gamma * params.Gamma_gain) == 1.0 / params.kappa_max
+        assert closed_form_threshold(params) == 0.0
+        result = solve_fixed_point(params)
+        assert result.kappa_star == 0.0
+        assert result.x_star == 0.0
+        assert result.closed_form_gap == 0.0
+
     def test_partisan_discount(self):
         params = make_params(leader_type=LeaderType.PARTISAN, G2=1.0)
         result = solve_fixed_point(params)

@@ -1,5 +1,6 @@
 import math
-from dataclasses import fields
+import sys
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,17 +14,23 @@ from reformgame import (
     ParameterError,
     PosteriorConvention,
     WorldState,
+    equilibrium_report,
+    estimate_equilibrium,
     gain_allocation,
+    grid_sweep,
     info_acquisition_cost,
     optimal_info_effort,
     partisan_participation_cost,
     posterior_change_state,
+    solve_fixed_point,
     state_probabilities,
     success_probability,
     validate_params,
 )
 
-from conftest import make_params
+import reformgame.model
+
+from conftest import BASELINE, make_params
 
 NUMERIC_FIELDS = [f.name for f in fields(ModelParams) if f.type == "float"]
 
@@ -295,6 +302,40 @@ class TestValidateParams:
     def test_p1_certain_status_quo_skips_reformer_bound(self):
         # With p1 = 1 no change state occurs and the reformer bound is vacuous.
         validate_params(make_params(p1=1.0, G3=100.0, Gamma_gain=1.0))
+
+
+class TestValidOnConstruction:
+    def test_replace_checks_the_gain_bound(self):
+        with pytest.raises(ParameterError) as err:
+            replace(BASELINE, Gamma_gain=3.0)
+        assert err.value.constraint == "participant_gain_bound"
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        """Every validate_params call, through any module that binds it."""
+        calls = []
+        real = reformgame.model.validate_params
+
+        def counting(params):
+            calls.append(params)
+            return real(params)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("reformgame") and hasattr(module, "validate_params"):
+                monkeypatch.setattr(module, "validate_params", counting)
+        return calls
+
+    def test_one_validation_per_sweep_point(self, validations):
+        grid = [-0.1, 0.0, 0.2, 0.5, 1.0, 1.5]  # two points out of range
+        series = grid_sweep(BASELINE, "theta", grid)
+        assert len(series.values) + len(series.skipped) == len(grid)
+        assert len(validations) == len(grid)
+
+    def test_built_params_are_not_revalidated(self, validations):
+        solve_fixed_point(BASELINE)
+        equilibrium_report(BASELINE)
+        estimate_equilibrium(BASELINE, n=1000, replications=2, seed=1)
+        assert validations == []
 
 
 class TestGainAllocation:

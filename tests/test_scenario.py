@@ -175,6 +175,18 @@ class TestLoadScenario:
             load_scenario(path)
         assert err.value.field is None
 
+    def test_repeated_param_key_named(self, tmp_path):
+        path = write_with_raw_number(tmp_path, solve_payload(params={"w": "X"}), '5.0, "w": 1.0')
+        with pytest.raises(ScenarioSchemaError, match="duplicate field params.w") as err:
+            load_scenario(path)
+        assert err.value.field == "params.w"
+
+    def test_repeated_top_level_key_named(self, tmp_path):
+        path = write_with_raw_number(tmp_path, solve_payload(label="X"), '"a", "label": "b"')
+        with pytest.raises(ScenarioSchemaError, match="duplicate field label") as err:
+            load_scenario(path)
+        assert err.value.field == "label"
+
     def test_numbers_beyond_the_float_range_named(self, tmp_path):
         huge = 10**400
         with pytest.raises(ScenarioSchemaError) as err:
