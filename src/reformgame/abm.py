@@ -10,11 +10,15 @@ count over the population, and the participation mask is built once, at the
 end. Success is then a single draw at the realized participation level.
 
 Agent state is held in parallel numpy arrays so that populations of 1e5
-agents replicate in milliseconds. All randomness flows from explicit
-integer seeds (replication seeds derive from the master seed by a
-splitmix64 counter), so identical inputs reproduce identical outputs bit for bit. Replications are
-independent; they may be dispatched in parallel as long as their seeds are
-assigned up front and results are aggregated in replication order.
+agents replicate in milliseconds. numpy is imported on the first call of a
+function that needs it, not with this module, so the analytic side of the
+package, and every CLI command but ``simulate``, runs without loading it.
+
+All randomness flows from explicit integer seeds (replication seeds derive
+from the master seed by a splitmix64 counter), so identical inputs reproduce
+identical outputs bit for bit. Replications are independent; they may be
+dispatched in parallel as long as their seeds are assigned up front and
+results are aggregated in replication order.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .equilibrium import effective_gain, solve_fixed_point
 from .model import (
@@ -107,13 +109,19 @@ def spawn_population(n: int, params: ModelParams, seed: int) -> Population:
     probability gamma, independent of follower status. Draw order is fixed
     (follower uniforms, then costs, then reach uniforms) so that raising
     theta under a common seed only converts non-followers into followers.
+    A size numpy cannot describe or allocate raises ``DomainError`` naming n.
     """
+    import numpy as np
+
     if not 1 <= n <= sys.maxsize // 8:  # the largest float64 array numpy can describe
         raise DomainError(f"population size n must lie in [1, {sys.maxsize // 8}], got {n}")
     rng = np.random.default_rng(seed)
-    is_follower = rng.random(n) < params.theta
-    cost = np.where(is_follower, 0.0, rng.uniform(0.0, params.kappa_max, size=n))
-    reached = rng.random(n) < params.gamma
+    try:
+        is_follower = rng.random(n) < params.theta
+        cost = np.where(is_follower, 0.0, rng.uniform(0.0, params.kappa_max, size=n))
+        reached = rng.random(n) < params.gamma
+    except MemoryError:
+        raise DomainError(f"population size n = {n} does not fit in memory") from None
     return Population(is_follower=is_follower, cost=cost, reached=reached, seed=seed, n=n)
 
 
@@ -128,6 +136,8 @@ def _state_from_uniform(p1: float, p2: float, u: float) -> WorldState:
 
 def realize_world(p1: float, p2: float, seed: int) -> WorldState:
     """Draw the world state with probabilities (p1, (1-p1)p2, (1-p1)(1-p2))."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return _state_from_uniform(p1, p2, float(rng.random()))
 
@@ -151,6 +161,8 @@ def best_response_cascade(
     Returns the final participation mask, the number of rounds executed, and
     the realized fraction after each round.
     """
+    import numpy as np
+
     reached, cost, n = population.reached, population.cost, population.n
     coef = params.a * effective_gain(params)
     threshold = coef * (params.gamma * params.theta)
@@ -184,6 +196,8 @@ def simulate_once(
     information-effort probability; ``force_call`` bypasses both gates to
     isolate the participation game. Without a call nobody participates.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
 
     state = force_state if force_state is not None else _state_from_uniform(
@@ -240,6 +254,8 @@ def estimate_equilibrium(
     deterministically from the master seed; results aggregate in
     replication order.
     """
+    import numpy as np
+
     if n < 1000:
         raise DomainError(f"need at least 1000 agents per replication, got {n}")
     if replications < 2:

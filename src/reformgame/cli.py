@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
+from typing import Any
 
 from .abm import estimate_equilibrium
 from .equilibrium import ConvergenceError, equilibrium_report
@@ -67,13 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    params = scenario.params
+def _param_overrides(args: argparse.Namespace) -> dict[str, Any]:
+    """The convention flags as ModelParams fields, applied when the scenario loads."""
+    overrides: dict[str, Any] = {}
     if args.convention:
-        params = replace(params, threshold_convention=ThresholdConvention(args.convention))
+        overrides["threshold_convention"] = ThresholdConvention(args.convention)
     if args.posterior:
-        params = replace(params, posterior_convention=PosteriorConvention(args.posterior))
-    return replace(scenario, params=params)
+        overrides["posterior_convention"] = PosteriorConvention(args.posterior)
+    return overrides
 
 
 def _abm_settings(scenario: Scenario, args: argparse.Namespace) -> tuple[int, int, int]:
@@ -171,7 +172,7 @@ def run_command(argv: list[str]) -> int:
 
     try:
         scenario_path = Path(args.scenario)
-        scenario = _apply_overrides(load_scenario(scenario_path), args)
+        scenario = load_scenario(scenario_path, **_param_overrides(args))
         if args.command == "validate":
             _cmd_validate(scenario)
         elif args.command == "solve":

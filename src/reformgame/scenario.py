@@ -222,7 +222,7 @@ def _enum_value(raw: str, enum_cls: type[Enum], where: str) -> Any:
         raise ScenarioSchemaError(where, f"{where} must be one of: {options}; got {raw!r}")
 
 
-def _parse_params(obj: Any) -> ModelParams:
+def _parse_params(obj: Any, overrides: dict[str, Any]) -> ModelParams:
     if not isinstance(obj, dict):
         raise ScenarioSchemaError("params", "params must be an object")
     allowed = (*PARAM_RANGES, "leader_type", "threshold_convention", "posterior_convention")
@@ -245,12 +245,13 @@ def _parse_params(obj: Any) -> ModelParams:
             PosteriorConvention,
             "params.posterior_convention",
         )
-    return ModelParams(
-        leader_type=leader,
-        threshold_convention=threshold,
-        posterior_convention=posterior,
+    return ModelParams(**{
+        "leader_type": leader,
+        "threshold_convention": threshold,
+        "posterior_convention": posterior,
         **numbers,
-    )
+        **overrides,
+    })
 
 
 def _parse_abm(obj: Any) -> AbmSettings:
@@ -310,8 +311,12 @@ def _find(raw: Any, kind: type[str]) -> tuple[str, str] | None:
     return None
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | Path, **param_overrides: Any) -> Scenario:
     """Load and fully validate a scenario file.
+
+    ``param_overrides`` replace fields of the file's ``params`` (the CLI's
+    convention flags), once the file's own values have passed their checks;
+    the parameters are then built, and validated, once.
 
     Raises :class:`ScenarioParseError` for malformed JSON (including the
     non-standard ``NaN``/``Infinity`` literals, whose location it names),
@@ -359,7 +364,7 @@ def load_scenario(path: str | Path) -> Scenario:
     run = _enum_value(_require_str(raw, "run", "scenario"), RunKind, "run")
     if "params" not in raw:
         raise ScenarioSchemaError("params", "missing required field params")
-    params = _parse_params(raw["params"])
+    params = _parse_params(raw["params"], param_overrides)
 
     sections = {
         "abm": _parse_abm(raw["abm"]) if "abm" in raw else None,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from reformgame import (
@@ -93,3 +94,17 @@ def random_valid_params(
 @pytest.fixture
 def baseline() -> ModelParams:
     return BASELINE
+
+
+class _OutOfMemoryGenerator:
+    def random(self, *args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+
+@pytest.fixture
+def out_of_memory(monkeypatch):
+    """Every numpy generator fails its first draw, as a too-large one would.
+
+    Lets a test reach the out-of-memory path without allocating anything.
+    """
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _OutOfMemoryGenerator())

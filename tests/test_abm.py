@@ -84,6 +84,11 @@ class TestSpawnPopulation:
         with pytest.raises(DomainError, match=rf"size n must lie in \[1, {bound}\], got {n}"):
             spawn_population(n, make_params(), seed=1)
 
+    def test_unallocatable_population_names_n(self, out_of_memory):
+        with pytest.raises(DomainError,
+                           match=r"^population size n = 1000000000000 does not fit in memory$"):
+            spawn_population(10**12, make_params(), seed=1)
+
     def test_cost_sampler_is_uniform(self):
         # Kolmogorov-Smirnov check at the 1% level: all agents are
         # non-followers, so every cost comes from Uniform[0, kappa_max].

@@ -142,6 +142,14 @@ class TestSimulate:
             assert lines == [f"error: population size n must lie in [1, {sys.maxsize // 8}], "
                              f"got {huge}"]
 
+    def test_unallocatable_population_size_exits_one(self, out_of_memory, capsys):
+        argv = ["simulate", "--scenario", bundled_path("baseline_simulate.json"),
+                "--agents", 10**12]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: population size n = 1000000000000 does not fit in memory\n"
+
     def test_seed_override_changes_output(self, tmp_path):
         base = bundled_path("baseline_simulate.json")
         out_a = tmp_path / "a.csv"
@@ -262,17 +270,52 @@ class TestErrorPaths:
         capsys.readouterr()
 
 
+# Runs in a fresh interpreter: every command but simulate, then simulate,
+# reporting the exit codes and whether numpy was loaded after each stage.
+COLD_START = """
+import json, sys
+from reformgame import bundled_path
+from reformgame.cli import run_command
+
+out = sys.argv[1]
+runs = [("solve", "baseline.json"), ("sweep", "baseline_sweep.json"),
+        ("validate", "baseline.json"), ("case-data", "bancarization.json"),
+        ("solve", "bad_gain_bound.json")]
+codes = [run_command([command, "--scenario", str(bundled_path(scenario)),
+                      "--out", f"{out}/{index}.csv"])
+         for index, (command, scenario) in enumerate(runs)]
+numpy_before = "numpy" in sys.modules
+codes.append(run_command(["simulate", "--scenario", str(bundled_path("baseline_simulate.json")),
+                          "--out", f"{out}/simulate.csv"]))
+print(json.dumps({"codes": codes, "numpy_before": numpy_before,
+                  "numpy_after": "numpy" in sys.modules}))
+"""
+
+
 class TestModuleEntryPoint:
-    def test_runs_without_warnings(self):
+    @staticmethod
+    def python(*args):
         src = str(Path(reformgame.__file__).parents[1])
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        argv = ["validate", "--scenario", str(bundled_path("baseline.json"))]
-        proc = subprocess.run([sys.executable, "-m", "reformgame.cli", *argv],
+        return subprocess.run([sys.executable, *args],
                               env=env, capture_output=True, text=True, timeout=60)
+
+    def test_runs_without_warnings(self):
+        argv = ["validate", "--scenario", str(bundled_path("baseline.json"))]
+        proc = self.python("-m", "reformgame.cli", *argv)
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert "parameters valid" in proc.stdout
+
+    def test_only_simulate_loads_numpy(self, tmp_path):
+        proc = self.python("-c", COLD_START, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report == {"codes": [0, 0, 0, 0, 1, 0], "numpy_before": False,
+                          "numpy_after": True}
+        golden = Path(__file__).parent / "golden" / "simulate.csv"
+        assert (tmp_path / "simulate.csv").read_bytes() == golden.read_bytes()
 
 
 class TestDeterminism:

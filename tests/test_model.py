@@ -14,6 +14,7 @@ from reformgame import (
     ParameterError,
     PosteriorConvention,
     WorldState,
+    bundled_path,
     equilibrium_report,
     estimate_equilibrium,
     gain_allocation,
@@ -22,6 +23,7 @@ from reformgame import (
     optimal_info_effort,
     partisan_participation_cost,
     posterior_change_state,
+    run_command,
     solve_fixed_point,
     state_probabilities,
     success_probability,
@@ -336,6 +338,14 @@ class TestValidOnConstruction:
         equilibrium_report(BASELINE)
         estimate_equilibrium(BASELINE, n=1000, replications=2, seed=1)
         assert validations == []
+
+    @pytest.mark.parametrize("flags", [[], ["--convention", "paper-literal",
+                                            "--posterior", "bayes"]])
+    def test_one_validation_per_cli_run(self, validations, flags, capsys):
+        argv = ["solve", "--scenario", str(bundled_path("baseline.json")), *flags]
+        assert run_command(argv) == 0
+        capsys.readouterr()
+        assert len(validations) == 1
 
 
 class TestGainAllocation:
