@@ -58,7 +58,9 @@ class EquilibriumResult:
     participate (the demand for leadership), ``x_star`` the participating
     fraction, ``psi_star`` the implied success probability, and
     ``closed_form_gap`` the distance between the fixed point and the
-    closed form selected by ``convention``.
+    closed form selected by ``convention``. ``iterations`` counts the
+    polish steps the solver applied after its extrapolated start, and
+    ``residual`` is the size of the last one.
     """
 
     convention: ThresholdConvention
@@ -122,7 +124,7 @@ def participation_fraction(params: ModelParams, kappa_star: float) -> float:
             f"kappa_star must lie in [0, kappa_max = {params.kappa_max}], got {kappa_star}"
         )
     return params.gamma * (
-        params.theta + (1.0 - params.theta) * kappa_star / params.kappa_max
+        params.theta + (1.0 - params.theta) * (kappa_star / params.kappa_max)
     )
 
 
@@ -132,10 +134,14 @@ def closed_form_threshold(
     """Closed-form equilibrium threshold under the chosen sign convention.
 
     DERIVED_CONSISTENT solves the participation recursion exactly:
-    ``theta / (1/(a*gamma*Gamma_eff) - (1-theta)/kappa_max)``. PAPER_LITERAL
-    flips the inner sign to ``+`` as printed in the published expression;
-    that variant is increasing in kappa_max, contradicting the stated
-    comparative statics, and is kept for reference only.
+    ``theta / (1/(a*gamma*Gamma_eff) - (1-theta)/kappa_max)``, evaluated as
+    ``kappa_max * theta*s / ((kappa_max - s) + s*theta)`` with
+    ``s = a*gamma*Gamma_eff``. That takes no difference of nearly equal
+    terms, and its ratio lies in [0, 1), so nothing overflows; the
+    participant gain bound keeps ``kappa_max - s > 0``.
+    PAPER_LITERAL flips the inner sign to ``+`` as printed in the published
+    expression; that variant is increasing in kappa_max, contradicting the
+    stated comparative statics, and is kept for reference only.
     """
     if convention is None:
         convention = params.threshold_convention
@@ -144,17 +150,10 @@ def closed_form_threshold(
         # No followers, or a partisan call with no perceived gain (p2 = 0
         # under the PAPER posterior, p2 = 1 under BAYES): both forms are 0.
         return 0.0
-    inverse_gain = 1.0 / scale
-    tail = (1.0 - params.theta) / params.kappa_max
     if convention is ThresholdConvention.PAPER_LITERAL:
-        return params.theta / (inverse_gain + tail)
-    denom = inverse_gain - tail
-    if denom <= 0.0:
-        raise DomainError(
-            "closed form undefined: 1/(a*gamma*Gamma_eff) - (1-theta)/kappa_max "
-            "rounds to <= 0 (theta near 0 with Gamma_gain at its bound)"
-        )
-    return params.theta / denom
+        return params.theta / (1.0 / scale + (1.0 - params.theta) / params.kappa_max)
+    share = params.theta * scale / ((params.kappa_max - scale) + scale * params.theta)
+    return share * params.kappa_max
 
 
 def solve_fixed_point(
@@ -162,12 +161,19 @@ def solve_fixed_point(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> EquilibriumResult:
-    """Iterate the best-response map from 0 until successive thresholds agree.
+    """Solve for the fixed point of the best-response map.
 
-    Starting at 0 makes the iterate sequence monotone increasing and bounded
-    by ``a * Gamma_eff * gamma``, which the participant gain bound keeps
-    strictly below ``kappa_max``; the contraction modulus then guarantees
-    convergence long before ``max_iter``.
+    On ``[0, kappa_max]`` the map is affine, ``kappa -> seed + L*kappa``
+    with ``seed = s*theta``, ``L = s*(1-theta)/kappa_max`` and
+    ``s = a*gamma*Gamma_eff``, so the Aitken delta-squared limit of its
+    iterates is the fixed point ``seed/(1-L)`` itself. The solver starts
+    there, with ``1-L`` written as ``((kappa_max - s) + s*theta)/kappa_max``
+    to avoid cancellation, then applies the map until the step falls within
+    ``tol`` (relative to the threshold once it exceeds 1, where the float
+    spacing itself can exceed an absolute ``tol``) and stops shrinking. The
+    result is therefore a checked fixed point of the map, reached in a few
+    polish steps for every valid parameter set; ``max_iter`` caps those
+    steps.
     """
     if tol <= 0.0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
@@ -175,10 +181,14 @@ def solve_fixed_point(
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
 
     gain = effective_gain(params)
-    seed = params.a * gain * params.gamma * params.theta
-    slope = params.a * gain * params.gamma * (1.0 - params.theta) / params.kappa_max
+    scale = params.a * params.gamma * gain
+    seed = scale * params.theta
+    slope = scale * (1.0 - params.theta) / params.kappa_max
 
     kappa = 0.0
+    if seed != 0.0:
+        one_minus_slope = ((params.kappa_max - scale) + scale * params.theta) / params.kappa_max
+        kappa = seed / one_minus_slope
     iterations = 0
     residual = float("inf")
     previous = float("inf")
@@ -188,7 +198,7 @@ def solve_fixed_point(
         iterations += 1
         residual = abs(nxt - kappa)
         kappa = nxt
-        if residual <= tol:
+        if residual <= tol * max(1.0, kappa):
             within_tol = True
             # Keep polishing while each step still strictly improves; this
             # lands on the machine fixed point at negligible extra cost.

@@ -339,12 +339,13 @@ def validate_params(params: ModelParams) -> ModelParams:
                 f"got G2 = {params.G2}, G3 = {params.G3}",
             )
 
-    participant_bound = params.kappa_max / (params.a * params.gamma)
-    if not params.Gamma_gain < participant_bound:
+    # Tested as a product, associated as the solver forms it, so that
+    # kappa_max - a*gamma*Gamma_eff stays positive in floating point.
+    if not params.a * params.gamma * params.Gamma_gain < params.kappa_max:
         raise ParameterError(
             "participant_gain_bound",
-            f"Gamma_gain must be < kappa_max/(a*gamma) = {participant_bound}, "
-            f"got {params.Gamma_gain}",
+            f"Gamma_gain must be < kappa_max/(a*gamma) = "
+            f"{params.kappa_max / (params.a * params.gamma)}, got {params.Gamma_gain}",
         )
 
     if params.p1 < 1.0:

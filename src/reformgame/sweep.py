@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .equilibrium import closed_form_threshold, equilibrium_report
+from .equilibrium import closed_form_threshold, solve_fixed_point
 from .model import (
     PARAM_RANGES,
     DomainError,
@@ -94,6 +94,21 @@ def monotonicity_check(
     return Monotonicity.NON_MONOTONE
 
 
+def _point_builder(base: ModelParams, parameter_name: str) -> Callable[[float], ModelParams]:
+    """Build parameter sets that differ from ``base`` in one field only.
+
+    The base's fields are copied once; each call sets the varied field and
+    constructs a ``ModelParams``, whose ``__post_init__`` validates it.
+    """
+    fields = dict(vars(base))
+
+    def build(value: float) -> ModelParams:
+        fields[parameter_name] = value
+        return ModelParams(**fields)
+
+    return build
+
+
 def grid_sweep(
     base: ModelParams, parameter_name: str, values: Iterable[float]
 ) -> SweepSeries:
@@ -114,16 +129,17 @@ def grid_sweep(
     if any(not b > a for a, b in zip(grid, grid[1:])):  # NaN fails too
         raise DomainError("sweep grid values must be strictly increasing")
 
+    build = _point_builder(base, parameter_name)
     kept: list[float] = []
     points: list[SweepPoint] = []
     skipped: list[tuple[float, str]] = []
     for value in grid:
         try:
-            report = equilibrium_report(replace(base, **{parameter_name: value}))
+            params = build(value)
         except ParameterError as exc:
             skipped.append((value, str(exc)))
             continue
-        eq = report.equilibrium
+        eq = solve_fixed_point(params)
         kept.append(value)
         points.append(
             SweepPoint(kappa_star=eq.kappa_star, x_star=eq.x_star, psi_star=eq.psi_star)
@@ -209,10 +225,11 @@ def finite_difference_sensitivity(
         raise DomainError(f"step h must be > 0, got {h}")
 
     center = float(getattr(base, parameter_name))
+    build = _point_builder(base, parameter_name)
 
     def threshold_at(value: float) -> float | None:
         try:
-            return closed_form_threshold(replace(base, **{parameter_name: value}))
+            return closed_form_threshold(build(value))
         except ParameterError:  # outside the valid parameter region
             return None
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import reformgame.model
 from reformgame import (
     LeaderType,
     ModelParams,
@@ -94,6 +96,22 @@ def random_valid_params(
 @pytest.fixture
 def baseline() -> ModelParams:
     return BASELINE
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record every call of ``reformgame.model.<name>``, through any module
+    that binds it, and return the list of the calls' first arguments."""
+    calls = []
+    real = getattr(reformgame.model, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("reformgame") and hasattr(module, name):
+            monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 class _OutOfMemoryGenerator:

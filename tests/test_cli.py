@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import reformgame
-from reformgame import bundled_path, run_command
+import reformgame.cli
+from reformgame import ConvergenceError, bundled_path, run_command
 
 from test_scenario import solve_payload, write_json, write_with_raw_number
 
@@ -64,6 +65,13 @@ class TestSolve:
         assert run(["validate", "--scenario", scenario]) == 0
         assert run(["solve", "--scenario", scenario]) == 0
         assert "kappa_star = 0, x_star = 0," in capsys.readouterr().out
+
+    def test_theta_near_zero_at_the_float_gain_bound(self, tmp_path, capsys):
+        # The old closed form's denominator rounded to 0 here (exit 1).
+        payload = solve_payload(params={"kappa_max": 0.8, "theta": 1e-17,
+                                        "Gamma_gain": 1.9999999999999998})
+        assert run(["solve", "--scenario", write_json(tmp_path, payload)]) == 0
+        assert "kappa_star = 0.0537714349965, " in capsys.readouterr().out
 
     def test_posterior_override_changes_partisan_solution(self, tmp_path):
         payload = solve_payload(params={"leader_type": "partisan", "G2": 1.0})
@@ -232,19 +240,24 @@ class TestErrorPaths:
             assert f"{literal} is not a JSON number) at sweep.values[1]" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_solver_cap_exits_three(self, tmp_path, capsys):
-        # Valid parameters at contraction modulus 0.99899: the solver stops
-        # at its iteration cap before the residual reaches its tolerance.
+    def test_solver_cap_exits_three(self, tmp_path, capsys, monkeypatch):
+        # Contraction modulus 0.99899: iterating from 0 hit the 10,000-step
+        # cap here; the extrapolated start solves it.
         payload = solve_payload(params={"theta": 0.001, "Gamma_gain": 0.99999 * 2.5})
         scenario = write_json(tmp_path, payload)
         assert run(["validate", "--scenario", scenario]) == 0
+        assert run(["solve", "--scenario", scenario]) == 0
         capsys.readouterr()
+
+        def capped(params):
+            raise ConvergenceError("no fixed point within 10000 iterations "
+                                   "(residual 1.000e-09, contraction modulus L = 0.99899)")
+
+        monkeypatch.setattr(reformgame.cli, "equilibrium_report", capped)
         assert run(["solve", "--scenario", scenario]) == 3
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: no fixed point within 10000 iterations")
-        assert "contraction modulus L = 0.99899" in lines[0]
-        assert "violate" not in lines[0]
+        assert lines == ["error: no fixed point within 10000 iterations "
+                         "(residual 1.000e-09, contraction modulus L = 0.99899)"]
 
     def test_unknown_flag(self, capsys):
         assert run(["solve", "--bogus", "x"]) == 2

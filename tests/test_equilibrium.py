@@ -1,22 +1,31 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from reformgame import (
     ConvergenceError,
     DomainError,
     LeaderType,
+    ModelParams,
+    ParameterError,
     PosteriorConvention,
     ThresholdConvention,
     best_response_map,
     closed_form_threshold,
     effective_gain,
     equilibrium_report,
+    grid_sweep,
     info_acquisition_cost,
     participation_fraction,
     posterior_change_state,
     solve_fixed_point,
     success_probability,
 )
+from reformgame.sweep import SWEEPABLE_PARAMETERS
 
 from conftest import make_params, random_valid_params
 
@@ -174,8 +183,29 @@ class TestSolveFixedPoint:
             assert abs(result.kappa_star - expected) <= 1e-11
 
     def test_non_convergence_guard(self):
+        # The first polish step at the baseline moves by ~1e-17, more than
+        # the smallest positive tolerance.
         with pytest.raises(ConvergenceError):
-            solve_fixed_point(make_params(), max_iter=2)
+            solve_fixed_point(make_params(), tol=5e-324, max_iter=1)
+
+    def test_few_polish_steps(self):
+        # The solver starts at the affine map's limit, so only the polish
+        # steps remain (iterating from 0 took 34 at the baseline).
+        assert solve_fixed_point(make_params()).iterations == 2
+        rng = np.random.default_rng(29)
+        steps = [solve_fixed_point(random_valid_params(rng)).iterations for _ in range(2000)]
+        assert max(steps) <= 6
+
+    @pytest.mark.parametrize("theta,Gamma_gain,kappa_max", [
+        (0.001, 0.99999 * 2.5, 1.0),  # L = 0.99899: 10,000 steps from 0 did not converge
+        (1e-17, 1.9999999999999998, 0.8),  # the float just below the gain bound
+    ])
+    def test_near_the_gain_bound(self, theta, Gamma_gain, kappa_max):
+        params = make_params(theta=theta, Gamma_gain=Gamma_gain, kappa_max=kappa_max)
+        result = solve_fixed_point(params)
+        assert 0.0 < result.kappa_star < params.kappa_max
+        assert result.iterations <= 2
+        assert result.kappa_star == pytest.approx(closed_form_threshold(params), rel=1e-12)
 
     def test_bad_solver_settings(self):
         with pytest.raises(DomainError):
@@ -304,3 +334,71 @@ class TestComparativeStatics:
             for v in (1.5, 2.0, 2.5, 3.0)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+FLOAT_MAX = sys.float_info.max
+OPEN_UNIT = st.floats(1e-12, 1.0 - 1e-12)
+
+
+@st.composite
+def any_model_params(draw):
+    """A valid parameter set from anywhere in the float range.
+
+    ``kappa_max`` spans subnormals to the largest float, ``theta`` hits 0
+    and values just above it, and ``Gamma_gain`` is often the last float
+    below ``kappa_max/(a*gamma)``.
+    """
+    a, gamma = draw(OPEN_UNIT), draw(OPEN_UNIT)
+    kappa_max = draw(st.floats(5e-324, FLOAT_MAX))
+    theta = draw(st.sampled_from([0.0, 5e-324, 1e-17, 1e-12]) | st.floats(0.0, 1.0))
+    bound = min(kappa_max / (a * gamma), FLOAT_MAX)
+    gain = draw(st.just(math.nextafter(bound, 0.0))
+                | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+                    lambda share: share * bound))
+    leader_type = draw(st.sampled_from(LeaderType))
+    p1, q = draw(st.floats(0.0, 1.0)), draw(st.floats(5e-324, FLOAT_MAX))
+    reformer_bound = min(q / ((1.0 - p1) * a * gamma), FLOAT_MAX) if p1 < 1.0 else q
+    shares = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    fields = dict(
+        a=a, phi=draw(st.floats(1.0, FLOAT_MAX, exclude_min=True)), theta=theta,
+        gamma=gamma, kappa_max=kappa_max, Gamma_gain=gain, p1=p1,
+        p2=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)), s=draw(OPEN_UNIT),
+        q=q, w=draw(st.floats(0.0, FLOAT_MAX)),
+        G2=draw(shares) * reformer_bound if leader_type is LeaderType.PARTISAN else 0.0,
+        G3=draw(shares) * reformer_bound, leader_type=leader_type,
+        threshold_convention=draw(st.sampled_from(ThresholdConvention)),
+        posterior_convention=draw(st.sampled_from(PosteriorConvention)),
+    )
+    try:
+        return ModelParams(**fields)
+    except ParameterError:
+        assume(False)
+
+
+class TestEveryModelParams:
+    @given(params=any_model_params())
+    # Float spacing at the threshold (~3e-8) far above an absolute 1e-12.
+    @example(params=make_params(kappa_max=2.5e8, theta=1e-12,
+                                Gamma_gain=math.nextafter(2.5e8 / 0.4, 0.0)))
+    # theta*s*kappa_max would overflow; the closed form's ratio does not.
+    @example(params=make_params(kappa_max=1e200, Gamma_gain=1e200))
+    # A subnormal kappa_max: kappa*/kappa_max must be formed before scaling.
+    @example(params=make_params(kappa_max=1e-317, theta=0.75,
+                                Gamma_gain=math.nextafter(1e-317 / 0.4, 0.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_report_is_finite_and_in_range(self, params):
+        report = equilibrium_report(params)
+        eq = report.equilibrium
+        values = (eq.kappa_star, eq.x_star, eq.psi_star, eq.closed_form_gap,
+                  report.costs.info_cost, report.costs.partisan_cost)
+        assert all(math.isfinite(v) for v in values), values
+        assert 0.0 <= eq.kappa_star <= params.kappa_max
+        assert params.gamma * params.theta - 1e-15 <= eq.x_star <= params.gamma + 1e-15
+
+    @given(params=any_model_params(), name=st.sampled_from(SWEEPABLE_PARAMETERS))
+    @settings(max_examples=100, deadline=None)
+    def test_one_point_sweep_keeps_the_point(self, params, name):
+        value = getattr(params, name)
+        series = grid_sweep(params, name, [value])
+        assert series.values == (value,)
+        assert series.skipped == ()

@@ -1,5 +1,4 @@
 import math
-import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -30,9 +29,7 @@ from reformgame import (
     validate_params,
 )
 
-import reformgame.model
-
-from conftest import BASELINE, make_params
+from conftest import BASELINE, count_calls, make_params
 
 NUMERIC_FIELDS = [f.name for f in fields(ModelParams) if f.type == "float"]
 
@@ -242,6 +239,16 @@ class TestValidateParams:
             validate_params(make_params(Gamma_gain=2.5))
         validate_params(make_params(Gamma_gain=2.4999))
 
+    def test_participant_gain_bound_is_checked_as_the_product(self):
+        # Gamma_gain is the last float below kappa_max/(a*gamma) = 29.629...,
+        # yet a*gamma*Gamma_gain rounds to kappa_max, so the threshold's
+        # denominator kappa_max - a*gamma*Gamma_gain would be 0.
+        gain = math.nextafter(0.8 / (0.03 * 0.9), 0.0)
+        assert 0.03 * 0.9 * gain >= 0.8
+        with pytest.raises(ParameterError) as err:
+            make_params(a=0.03, gamma=0.9, kappa_max=0.8, Gamma_gain=gain)
+        assert err.value.constraint == "participant_gain_bound"
+
     def test_reformer_gain_bound(self):
         # q/((1-p1)*a*gamma) = 3.571...
         with pytest.raises(ParameterError) as err:
@@ -315,17 +322,7 @@ class TestValidOnConstruction:
     @pytest.fixture
     def validations(self, monkeypatch):
         """Every validate_params call, through any module that binds it."""
-        calls = []
-        real = reformgame.model.validate_params
-
-        def counting(params):
-            calls.append(params)
-            return real(params)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("reformgame") and hasattr(module, "validate_params"):
-                monkeypatch.setattr(module, "validate_params", counting)
-        return calls
+        return count_calls(monkeypatch, "validate_params")
 
     def test_one_validation_per_sweep_point(self, validations):
         grid = [-0.1, 0.0, 0.2, 0.5, 1.0, 1.5]  # two points out of range

@@ -14,7 +14,7 @@ from reformgame import (
     success_response_series,
 )
 
-from conftest import make_params
+from conftest import count_calls, make_params
 
 
 class TestMonotonicityCheck:
@@ -84,6 +84,13 @@ class TestGridSweep:
             grid_sweep(make_params(), "theta", [0.1, 0.3, math.nan, 0.2])
         with pytest.raises(DomainError):
             grid_sweep(make_params(), "theta", [])
+
+    def test_points_compute_no_costs(self, monkeypatch):
+        # A point needs only the equilibrium, not the cost report.
+        efforts = count_calls(monkeypatch, "optimal_info_effort")
+        series = grid_sweep(make_params(), "theta", [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+        assert len(series.values) == 6
+        assert efforts == []
 
     def test_outputs_align_with_values(self):
         series = grid_sweep(make_params(), "gamma", [0.2, 0.5, 0.8])
