@@ -1,24 +1,27 @@
 """Agent-based Monte Carlo engine validating the analytic equilibrium.
 
-One simulation run samples a population (follower flags, participation
-costs, reach flags), realizes the world state, lets the policy maker decide
-whether to call, and then iterates the empirical best response: each reached
-agent joins once their cost falls below ``a * Gamma_eff`` times the previous
-round's participating fraction. The iteration starts from the follower core
-and stops when the participating set no longer changes; each round costs one
-count over the population, and the participation mask is built once, at the
-end. Success is then a single draw at the realized participation level.
+One simulation run samples a population (reach flags, then follower flags
+and participation costs from one uniform per agent), realizes the world
+state, lets the policy maker decide whether to call, and then iterates the
+empirical best response: each reached agent joins once their cost falls
+below ``a * Gamma_eff`` times the previous round's participating fraction.
+The iteration starts from the follower core and stops when the
+participating set no longer changes; each round costs one count over the
+population, and the participation mask is built once, at the end. Success
+is then a single draw at the realized participation level.
 
 Agent state is held in parallel numpy arrays so that populations of 1e5
-agents replicate in milliseconds. numpy is imported on the first call of a
-function that needs it, not with this module, so the analytic side of the
-package, and every CLI command but ``simulate``, runs without loading it.
+agents replicate in milliseconds. Each replication of an estimate draws its
+population into the previous replication's arrays, so they are allocated
+once per estimate. numpy is imported on the first call of a function that
+needs it, not with this module, so the analytic side of the package, and
+every CLI command but ``simulate``, runs without loading it.
 
 All randomness flows from explicit integer seeds (replication seeds derive
 from the master seed by a splitmix64 counter), so identical inputs reproduce
 identical outputs bit for bit. Replications are independent; they may be
-dispatched in parallel as long as their seeds are assigned up front and
-results are aggregated in replication order.
+dispatched in parallel, each with its own arrays, as long as their seeds are
+assigned up front and results are aggregated in replication order.
 """
 
 from __future__ import annotations
@@ -101,27 +104,50 @@ class AbmEstimate:
     abs_gap: float
 
 
-def spawn_population(n: int, params: ModelParams, seed: int) -> Population:
+def spawn_population(
+    n: int, params: ModelParams, seed: int, out: Population | None = None
+) -> Population:
     """Sample a population of n agents from the model's cost mixture.
 
-    Each agent is independently a follower with probability theta (cost 0),
-    otherwise draws a cost uniform on [0, kappa_max]; each is reached with
-    probability gamma, independent of follower status. Draw order is fixed
-    (follower uniforms, then costs, then reach uniforms) so that raising
-    theta under a common seed only converts non-followers into followers.
-    A size numpy cannot describe or allocate raises ``DomainError`` naming n.
+    Each agent is reached with probability gamma and, independently, is a
+    follower with probability theta (cost 0) or otherwise draws a cost
+    uniform on [0, kappa_max]. The draw order is fixed: n reach uniforms,
+    then one uniform ``u`` per agent for both follower status and cost. The
+    agent is a follower when ``u < theta``; otherwise its cost is
+    ``(u - theta) / (1 - theta) * kappa_max``, which lies in [0, kappa_max].
+    At ``theta = 1`` every cost is 0. Under a common seed, raising theta
+    therefore only converts non-followers into followers and leaves
+    ``reached`` unchanged.
+
+    With ``out``, a population of the same n, the draws go into ``out``'s
+    arrays instead of new ones: they are overwritten, and the returned
+    population shares them. The draws are the same either way. An ``out``
+    of another size raises ``DomainError``, as does a size numpy cannot
+    describe or allocate, naming n.
     """
     import numpy as np
 
     if not 1 <= n <= sys.maxsize // 8:  # the largest float64 array numpy can describe
         raise DomainError(f"population size n must lie in [1, {sys.maxsize // 8}], got {n}")
+    if out is not None and out.n != n:
+        raise DomainError(f"out must hold a population of n = {n} agents, got n = {out.n}")
     rng = np.random.default_rng(seed)
     try:
-        is_follower = rng.random(n) < params.theta
-        cost = np.where(is_follower, 0.0, rng.uniform(0.0, params.kappa_max, size=n))
-        reached = rng.random(n) < params.gamma
+        # The first draw allocates (or fills) the cost array, which holds the
+        # reach uniforms until the agent uniforms replace them.
+        cost = rng.random(n) if out is None else rng.random(out=out.cost)
+        reached = np.less(cost, params.gamma, out=None if out is None else out.reached)
+        rng.random(out=cost)
+        is_follower = np.less(cost, params.theta, out=None if out is None else out.is_follower)
     except MemoryError:
         raise DomainError(f"population size n = {n} does not fit in memory") from None
+    # (u - theta) / (1 - theta) is at most 1 in floating point too, so no cost
+    # exceeds kappa_max; a follower's negative difference becomes 0.
+    np.subtract(cost, params.theta, out=cost)
+    np.maximum(cost, 0.0, out=cost)
+    if params.theta < 1.0:  # at theta = 1 every agent is a follower
+        np.divide(cost, 1.0 - params.theta, out=cost)
+        np.multiply(cost, params.kappa_max, out=cost)
     return Population(is_follower=is_follower, cost=cost, reached=reached, seed=seed, n=n)
 
 
@@ -248,7 +274,8 @@ def estimate_equilibrium(
 ) -> AbmEstimate:
     """Estimate the equilibrium participation fraction by replication.
 
-    Each replication spawns a fresh population and runs the participation
+    Each replication draws its population into the previous replication's
+    arrays (the agent arrays are allocated once) and runs the participation
     game with the call issued and the majority-benefiting state forced, so
     the estimate targets the analytic fixed point. Replication seeds derive
     deterministically from the master seed; results aggregate in
@@ -263,9 +290,10 @@ def estimate_equilibrium(
 
     fractions = np.empty(replications)
     successes = np.empty(replications)
+    population = None
     for rep in range(replications):
         rep_seed = derive_seed(seed, rep)
-        population = spawn_population(n, params, derive_seed(rep_seed, 0))
+        population = spawn_population(n, params, derive_seed(rep_seed, 0), out=population)
         outcome = simulate_once(
             population,
             params,

@@ -341,11 +341,12 @@ def validate_params(params: ModelParams) -> ModelParams:
 
     # Tested as a product, associated as the solver forms it, so that
     # kappa_max - a*gamma*Gamma_eff stays positive in floating point.
-    if not params.a * params.gamma * params.Gamma_gain < params.kappa_max:
+    product = params.a * params.gamma * params.Gamma_gain
+    if not product < params.kappa_max:
         raise ParameterError(
             "participant_gain_bound",
-            f"Gamma_gain must be < kappa_max/(a*gamma) = "
-            f"{params.kappa_max / (params.a * params.gamma)}, got {params.Gamma_gain}",
+            f"a*gamma*Gamma_gain must be < kappa_max = {params.kappa_max}, "
+            f"got {product} (Gamma_gain = {params.Gamma_gain})",
         )
 
     if params.p1 < 1.0:

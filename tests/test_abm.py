@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from reformgame import (
     simulate_once,
     solve_fixed_point,
     spawn_population,
+    state_probabilities,
     validate_params,
 )
+from reformgame.abm import _state_from_uniform
 from reformgame.equilibrium import effective_gain
 
 from conftest import make_params
@@ -60,9 +63,10 @@ class TestSpawnPopulation:
         assert not np.array_equal(one.cost, two.cost)
 
     def test_all_followers_when_theta_is_one(self):
-        population = spawn_population(4, make_params(theta=1.0), seed=5)
+        population = spawn_population(20_000, make_params(theta=1.0), seed=5)
         assert population.is_follower.all()
         assert (population.cost == 0.0).all()
+        assert not np.signbit(population.cost).any()
 
     def test_agent_invariants(self):
         population = spawn_population(2000, make_params(), seed=9)
@@ -97,6 +101,105 @@ class TestSpawnPopulation:
         statistic = stats.kstest(population.cost, "uniform", args=(0.0, 1.0)).statistic
         assert statistic < 1.6276 / np.sqrt(n)
 
+    @pytest.mark.parametrize("theta", [0.2, 0.9])
+    def test_non_follower_costs_are_uniform(self, theta):
+        # Kolmogorov-Smirnov check at the 1% level: a non-follower's cost
+        # comes from Uniform[0, kappa_max] whatever the follower share.
+        params = make_params(theta=theta, kappa_max=2.5)
+        population = spawn_population(100_000, params, seed=77)
+        costs = population.cost[~population.is_follower]
+        statistic = stats.kstest(costs, "uniform", args=(0.0, params.kappa_max)).statistic
+        assert statistic < 1.6276 / np.sqrt(costs.size)
+
+    @pytest.mark.parametrize("theta", [0.05, 0.2, 0.9])
+    def test_follower_count_is_binomial(self, theta):
+        n = 100_000
+        population = spawn_population(n, make_params(theta=theta), seed=79)
+        followers = int(population.is_follower.sum())
+        assert stats.binomtest(followers, n, theta).pvalue > 0.01
+
+    def test_reach_is_independent_of_follower_status(self):
+        population = spawn_population(100_000, make_params(theta=0.3), seed=81)
+        table = [
+            [np.count_nonzero(population.reached & population.is_follower),
+             np.count_nonzero(population.reached & ~population.is_follower)],
+            [np.count_nonzero(~population.reached & population.is_follower),
+             np.count_nonzero(~population.reached & ~population.is_follower)],
+        ]
+        assert stats.chi2_contingency(table).pvalue > 0.01
+
+    @pytest.mark.parametrize("theta", [0.0, 0.2, 0.9, 1.0 - 2**-53])
+    @pytest.mark.parametrize("kappa_max", [5e-324, 1.0, 1e308])
+    def test_costs_lie_in_range(self, theta, kappa_max):
+        params = make_params(theta=theta, kappa_max=kappa_max, Gamma_gain=kappa_max)
+        population = spawn_population(20_000, params, seed=83)
+        assert np.isfinite(population.cost).all()
+        assert (population.cost >= 0.0).all()
+        assert (population.cost <= kappa_max).all()
+        assert (population.cost[population.is_follower] == 0.0).all()
+
+    @given(
+        thetas=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True).map(sorted),
+        n=st.integers(1, 5000),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_raising_theta_only_adds_followers(self, thetas, n, seed):
+        low = spawn_population(n, make_params(theta=thetas[0]), seed)
+        high = spawn_population(n, make_params(theta=thetas[1]), seed)
+        assert not (low.is_follower & ~high.is_follower).any()
+        assert np.array_equal(low.reached, high.reached)
+
+
+class TestPopulationReuse:
+    def test_out_gives_the_same_draws(self):
+        params = make_params()
+        other = spawn_population(3000, make_params(theta=0.7, gamma=0.1), seed=1)
+        fresh = spawn_population(3000, params, seed=2)
+        reused = spawn_population(3000, params, seed=2, out=other)
+        for name in ("is_follower", "cost", "reached"):
+            assert np.array_equal(getattr(reused, name), getattr(fresh, name))
+            assert getattr(reused, name) is getattr(other, name)
+        assert (reused.seed, reused.n) == (2, 3000)
+
+    def test_wrong_length_out_is_rejected(self):
+        other = spawn_population(3000, make_params(), seed=1)
+        with pytest.raises(DomainError,
+                           match=r"^out must hold a population of n = 3001 agents, got n = 3000$"):
+            spawn_population(3001, make_params(), seed=2, out=other)
+
+    def test_estimate_matches_fresh_populations(self):
+        # Reference: a fresh population per replication, seeded as the
+        # package seeds it.
+        params, n, replications, seed = make_params(), 5000, 4, 87
+        fractions, successes = [], []
+        for rep in range(replications):
+            rep_seed = derive_seed(seed, rep)
+            population = spawn_population(n, params, derive_seed(rep_seed, 0))
+            outcome = simulate_once(population, params, derive_seed(rep_seed, 1),
+                                    force_state=WorldState.E3, force_call=True)
+            fractions.append(outcome.participation_fraction)
+            successes.append(1.0 if outcome.success else 0.0)
+        estimate = estimate_equilibrium(params, n, replications, seed)
+        assert estimate.mean_x == float(np.mean(fractions))
+        assert estimate.stderr_x == float(np.std(fractions, ddof=1) / np.sqrt(replications))
+        assert estimate.mean_success_rate == float(np.mean(successes))
+
+    def test_estimate_allocates_one_population(self):
+        # A 100k x 20 estimate never holds two populations at once: its
+        # traced peak stays below twice one population's arrays.
+        params, n = make_params(), 100_000
+        population = spawn_population(n, params, seed=1)
+        nbytes = population.is_follower.nbytes + population.cost.nbytes + population.reached.nbytes
+        del population
+        tracemalloc.start()
+        try:
+            estimate_equilibrium(params, n=n, replications=20, seed=89)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * nbytes
+
 
 class TestRealizeWorld:
     def test_certain_states(self):
@@ -107,14 +210,20 @@ class TestRealizeWorld:
     def test_deterministic(self):
         assert realize_world(0.3, 0.4, seed=99) is realize_world(0.3, 0.4, seed=99)
 
-    def test_empirical_frequencies(self):
-        draws = [realize_world(0.3, 0.4, seed=derive_seed(5, i)) for i in range(100_000)]
-        freq = {
-            state: sum(d is state for d in draws) / len(draws) for state in WorldState
-        }
-        assert freq[WorldState.E1] == pytest.approx(0.30, abs=0.01)
-        assert freq[WorldState.E2] == pytest.approx(0.28, abs=0.01)
-        assert freq[WorldState.E3] == pytest.approx(0.42, abs=0.01)
+    @pytest.mark.parametrize("p1,p2", [(0.3, 0.4), (0.05, 0.9), (0.5, 0.0), (0.0, 0.5)])
+    def test_state_shares_on_a_uniform_grid(self, p1, p2):
+        # On an evenly spaced grid of u, each state's share of the grid
+        # differs from its probability by at most one grid step.
+        grid = 10_000
+        states = [_state_from_uniform(p1, p2, i / grid) for i in range(grid)]
+        for state, probability in zip(WorldState, state_probabilities(p1, p2)):
+            share = sum(s is state for s in states) / grid
+            assert abs(share - probability) <= 1 / grid
+
+    def test_draws_one_uniform_from_the_seed(self):
+        for seed in (0, 7, 2**63 + 5):
+            u = np.random.default_rng(seed).random()
+            assert realize_world(0.3, 0.4, seed) is _state_from_uniform(0.3, 0.4, u)
 
 
 class TestSimulateOnce:

@@ -98,7 +98,7 @@ class TestValidate:
         assert code == 1
         err = capsys.readouterr().err
         assert "participant_gain_bound" in err
-        assert "kappa_max/(a*gamma)" in err
+        assert "a*gamma*Gamma_gain must be < kappa_max" in err
 
 
 class TestSimulate:

@@ -39,6 +39,6 @@ def test_bad_gain_bound_golden(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == (
-        "error: participant_gain_bound: Gamma_gain must be < kappa_max/(a*gamma) = 2.5, "
-        "got 3.0\n"
+        "error: participant_gain_bound: a*gamma*Gamma_gain must be < kappa_max = 1.0, "
+        "got 1.2000000000000002 (Gamma_gain = 3.0)\n"
     )

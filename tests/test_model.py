@@ -232,7 +232,7 @@ class TestValidateParams:
         with pytest.raises(ParameterError) as err:
             validate_params(make_params(Gamma_gain=3.0))
         assert err.value.constraint == "participant_gain_bound"
-        assert "kappa_max/(a*gamma)" in str(err.value)
+        assert "a*gamma*Gamma_gain must be < kappa_max" in str(err.value)
 
     def test_participant_gain_bound_is_strict(self):
         with pytest.raises(ParameterError):
@@ -248,6 +248,12 @@ class TestValidateParams:
         with pytest.raises(ParameterError) as err:
             make_params(a=0.03, gamma=0.9, kappa_max=0.8, Gamma_gain=gain)
         assert err.value.constraint == "participant_gain_bound"
+        # The message names the product it tested, not the quotient the
+        # gain is below.
+        assert str(err.value) == (
+            "participant_gain_bound: a*gamma*Gamma_gain must be < kappa_max = 0.8, "
+            f"got 0.8 (Gamma_gain = {gain})"
+        )
 
     def test_reformer_gain_bound(self):
         # q/((1-p1)*a*gamma) = 3.571...

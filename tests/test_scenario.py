@@ -153,7 +153,7 @@ class TestLoadScenario:
         with pytest.raises(ParameterError) as err:
             load_scenario(bundled_path("bad_gain_bound.json"))
         assert err.value.constraint == "participant_gain_bound"
-        assert "kappa_max/(a*gamma)" in str(err.value)
+        assert "a*gamma*Gamma_gain must be < kappa_max" in str(err.value)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_standard_literals_are_parse_errors(self, tmp_path, literal):
