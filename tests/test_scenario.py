@@ -206,6 +206,195 @@ class TestLoadScenario:
             load_scenario(path)
 
 
+MISSING = object()
+
+SIMULATE = solve_payload(run="simulate", abm={"n": 1000, "replications": 2, "seed": 1})
+SWEEP = solve_payload(run="sweep", sweep={"parameter_name": "theta", "values": [0.1, 0.2]})
+CASE = solve_payload(run="case-data", case_data={"path": "bancarization.csv"})
+
+
+def edit(payload, section, **changes):
+    """A copy of payload whose section (None: the top level) has keys set or, with MISSING, removed."""
+    out = json.loads(json.dumps(payload))
+    target = out if section is None else out[section]
+    for key, value in changes.items():
+        if value is MISSING:
+            del target[key]
+        else:
+            target[key] = value
+    return out
+
+
+def rejection(name, payload, error, field, message, raw=None):
+    return pytest.param(payload, raw, error, field, message, id=name)
+
+
+def field_cases(section, base, key, kind):
+    """Missing and mistyped cases for one field of a section."""
+    where = f"{section}.{key}"
+    wrong = {"int": ["2", True, 2.5], "str": [1, True]}[kind]
+    noun = {"int": "an integer", "str": "a string"}[kind]
+    yield rejection(f"{where}-missing", edit(base, section, **{key: MISSING}),
+                    ScenarioSchemaError, where, f"missing required field {where}")
+    for value in wrong:
+        yield rejection(f"{where}-{value!r}", edit(base, section, **{key: value}),
+                        ScenarioSchemaError, where, f"{where} must be {noun}, got {value!r}")
+
+
+def section_cases(section, base):
+    """A section that is not an object, and one with an unknown key."""
+    yield rejection(f"{section}-not-an-object", edit(base, None, **{section: [1]}),
+                    ScenarioSchemaError, section, f"{section} must be an object")
+    yield rejection(f"{section}-unknown-key", edit(base, section, extra=1),
+                    ScenarioSchemaError, f"{section}.extra", f"unknown field 'extra' in {section}")
+
+
+RUN_OPTIONS = "solve, simulate, sweep, case-data"
+
+REJECTIONS = [
+    # The top level.
+    rejection("not-an-object", None, ScenarioSchemaError, "", "scenario must be a JSON object",
+              raw="[1, 2]"),
+    rejection("unknown-key", edit(solve_payload(), None, extra=1),
+              ScenarioSchemaError, "extra", "unknown field 'extra' in scenario"),
+    rejection("label-missing", edit(solve_payload(), None, label=MISSING),
+              ScenarioSchemaError, "scenario.label", "missing required field scenario.label"),
+    rejection("run-missing", edit(solve_payload(), None, run=MISSING),
+              ScenarioSchemaError, "scenario.run", "missing required field scenario.run"),
+    rejection("label-not-a-string", edit(solve_payload(), None, label=3),
+              ScenarioSchemaError, "scenario.label", "scenario.label must be a string, got 3"),
+    rejection("run-not-a-string", edit(solve_payload(), None, run=["solve"]),
+              ScenarioSchemaError, "scenario.run",
+              "scenario.run must be a string, got ['solve']"),
+    rejection("run-unknown", edit(solve_payload(), None, run="explore"),
+              ScenarioSchemaError, "run", f"run must be one of: {RUN_OPTIONS}; got 'explore'"),
+    rejection("params-missing", edit(solve_payload(), None, params=MISSING),
+              ScenarioSchemaError, "params", "missing required field params"),
+    # params.
+    rejection("params-not-an-object", edit(solve_payload(), None, params=[1]),
+              ScenarioSchemaError, "params", "params must be an object"),
+    rejection("params-unknown-key", solve_payload(params={"zeta": 1.0}),
+              ScenarioSchemaError, "params.zeta", "unknown field 'zeta' in params"),
+    rejection("params.theta-missing", edit(solve_payload(), "params", theta=MISSING),
+              ScenarioSchemaError, "params.theta", "missing required field params.theta"),
+    rejection("params.a-string", solve_payload(params={"a": "0.5"}),
+              ScenarioSchemaError, "params.a", "params.a must be a number, got '0.5'"),
+    rejection("params.a-bool", solve_payload(params={"a": True}),
+              ScenarioSchemaError, "params.a", "params.a must be a number, got True"),
+    rejection("params.w-beyond-float", solve_payload(params={"w": 10**400}),
+              ScenarioSchemaError, "params.w", "params.w is too large to be a float"),
+    rejection("params.leader_type-missing", edit(solve_payload(), "params", leader_type=MISSING),
+              ScenarioSchemaError, "params.leader_type",
+              "missing required field params.leader_type"),
+    rejection("params.leader_type-not-a-string", solve_payload(params={"leader_type": 1}),
+              ScenarioSchemaError, "params.leader_type",
+              "params.leader_type must be a string, got 1"),
+    rejection("params.leader_type-unknown", solve_payload(params={"leader_type": "monarch"}),
+              ScenarioSchemaError, "params.leader_type",
+              "params.leader_type must be one of: partisan, non-partisan; got 'monarch'"),
+    rejection("params.threshold_convention-not-a-string",
+              solve_payload(params={"threshold_convention": None}),
+              ScenarioSchemaError, "params.threshold_convention",
+              "params.threshold_convention must be a string, got None"),
+    rejection("params.threshold_convention-unknown",
+              solve_payload(params={"threshold_convention": "paper"}),
+              ScenarioSchemaError, "params.threshold_convention",
+              "params.threshold_convention must be one of: paper-literal, derived-consistent; "
+              "got 'paper'"),
+    rejection("params.posterior_convention-not-a-string",
+              solve_payload(params={"posterior_convention": 0}),
+              ScenarioSchemaError, "params.posterior_convention",
+              "params.posterior_convention must be a string, got 0"),
+    rejection("params.posterior_convention-unknown",
+              solve_payload(params={"posterior_convention": "paper-literal"}),
+              ScenarioSchemaError, "params.posterior_convention",
+              "params.posterior_convention must be one of: paper, bayes; got 'paper-literal'"),
+    # abm, sweep and case_data.
+    *section_cases("abm", SIMULATE),
+    *field_cases("abm", SIMULATE, "n", "int"),
+    *field_cases("abm", SIMULATE, "replications", "int"),
+    *field_cases("abm", SIMULATE, "seed", "int"),
+    *section_cases("sweep", SWEEP),
+    *field_cases("sweep", SWEEP, "parameter_name", "str"),
+    *section_cases("case_data", CASE),
+    *field_cases("case_data", CASE, "path", "str"),
+    # sweep.values.
+    rejection("sweep.values-missing", edit(SWEEP, "sweep", values=MISSING),
+              ScenarioSchemaError, "sweep.values", "sweep.values must be a non-empty array"),
+    rejection("sweep.values-not-a-list", edit(SWEEP, "sweep", values=0.1),
+              ScenarioSchemaError, "sweep.values", "sweep.values must be a non-empty array"),
+    rejection("sweep.values-empty", edit(SWEEP, "sweep", values=[]),
+              ScenarioSchemaError, "sweep.values", "sweep.values must be a non-empty array"),
+    rejection("sweep.values-string-element", edit(SWEEP, "sweep", values=[0.1, "x"]),
+              ScenarioSchemaError, "sweep.values", "sweep.values[1] must be a number, got 'x'"),
+    rejection("sweep.values-bool-element", edit(SWEEP, "sweep", values=[False]),
+              ScenarioSchemaError, "sweep.values", "sweep.values[0] must be a number, got False"),
+    rejection("sweep.values-beyond-float", edit(SWEEP, "sweep", values=[0.1, 0.2, 10**400]),
+              ScenarioSchemaError, "sweep.values", "sweep.values[2] is too large to be a float"),
+    rejection("sweep.values-infinite", edit(SWEEP, "sweep", values=[0.1, "X"]),
+              ScenarioSchemaError, "sweep.values", "sweep.values must be finite numbers",
+              raw="1e400"),
+    # The run's section.
+    rejection("simulate-without-abm", edit(SIMULATE, None, abm=MISSING),
+              ScenarioSchemaError, "abm", "run = 'simulate' requires a 'abm' section"),
+    rejection("sweep-without-sweep", edit(SWEEP, None, sweep=MISSING),
+              ScenarioSchemaError, "sweep", "run = 'sweep' requires a 'sweep' section"),
+    rejection("case-data-without-case_data", edit(CASE, None, case_data=MISSING),
+              ScenarioSchemaError, "case_data",
+              "run = 'case-data' requires a 'case_data' section"),
+    rejection("solve-with-abm", edit(SIMULATE, None, run="solve"),
+              ScenarioSchemaError, "abm", "section 'abm' is not allowed when run = 'solve'"),
+    rejection("sweep-with-case_data", edit(SWEEP, None, case_data={"path": "x.csv"}),
+              ScenarioSchemaError, "case_data",
+              "section 'case_data' is not allowed when run = 'sweep'"),
+    # Check order.
+    rejection("unknown-key-before-bad-value", solve_payload(params={"a": "x", "zeta": 1.0}),
+              ScenarioSchemaError, "params.zeta", "unknown field 'zeta' in params"),
+    rejection("top-level-unknown-before-missing-label",
+              edit(solve_payload(), None, label=MISSING, extra=1),
+              ScenarioSchemaError, "extra", "unknown field 'extra' in scenario"),
+    rejection("fields-in-table-order", edit(solve_payload(params={"leader_type": 1}), "params",
+                                            G3=MISSING),
+              ScenarioSchemaError, "params.G3", "missing required field params.G3"),
+    rejection("params-before-sections", edit(SIMULATE, None, abm=[1], params=[1]),
+              ScenarioSchemaError, "params", "params must be an object"),
+    rejection("range-violation-before-missing-section",
+              edit(edit(SIMULATE, "params", theta=2.0), None, abm=MISSING),
+              ParameterError, "field_range", "field_range: theta must lie in [0.0, 1.0], got 2.0"),
+    rejection("sections-before-presence", edit(solve_payload(), None, sweep={"values": []}),
+              ScenarioSchemaError, "sweep.parameter_name",
+              "missing required field sweep.parameter_name"),
+]
+
+
+class TestRejections:
+    """Every load_scenario rejection: its type, its field and its exact message.
+
+    Each case loads with and without both convention overrides: the
+    overrides replace file values only after those values pass their checks.
+    """
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"threshold_convention": ThresholdConvention.PAPER_LITERAL,
+         "posterior_convention": PosteriorConvention.BAYES},
+    ], ids=["file", "overridden"])
+    @pytest.mark.parametrize("payload,raw,error,field,message", REJECTIONS)
+    def test_rejection(self, tmp_path, overrides, payload, raw, error, field, message):
+        if payload is None:
+            path = tmp_path / "scenario.json"
+            path.write_text(raw, encoding="utf-8")
+        elif raw is not None:
+            path = write_with_raw_number(tmp_path, payload, raw)
+        else:
+            path = write_json(tmp_path, payload)
+        with pytest.raises(error) as err:
+            load_scenario(path, **overrides)
+        assert type(err.value) is error
+        where = err.value.constraint if error is ParameterError else err.value.field
+        assert (where, str(err.value)) == (field, message)
+
+
 class TestScenarioRoundTrip:
     @pytest.mark.parametrize(
         "scenario",
