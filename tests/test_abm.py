@@ -24,7 +24,6 @@ from reformgame import (
     solve_fixed_point,
     spawn_population,
     state_probabilities,
-    validate_params,
 )
 from reformgame.abm import _state_from_uniform
 from reformgame.equilibrium import effective_gain
@@ -372,9 +371,21 @@ _PARTISAN = LeaderType.PARTISAN
 _PAPER = PosteriorConvention.PAPER
 _BAYES = PosteriorConvention.BAYES
 
+def _valid_cascade_params(**fields):
+    """_cascade_params, with a draw that breaks a model constraint rejected.
+
+    A share just below 1 can still round the product a*gamma*Gamma_gain up
+    to kappa_max, which ModelParams refuses when it is built.
+    """
+    try:
+        return _cascade_params(**fields)
+    except ParameterError:
+        reject()
+
+
 # Gains are drawn as a share of kappa_max/(a*gamma), often within 1e-3 of it.
 cascade_params = st.builds(
-    _cascade_params,
+    _valid_cascade_params,
     theta=st.floats(0.0, 1.0),
     gain_share=st.floats(1e-6, 0.999) | st.floats(0.999, 1.0, exclude_max=True),
     leader_type=st.sampled_from(LeaderType),
@@ -410,10 +421,6 @@ class TestCascadeEquivalence:
     @example(params=_cascade_params(0.9, 0.9995), n=20_000, seed=9)
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_matches_mask_reference(self, params, n, seed):
-        try:
-            validate_params(params)
-        except ParameterError:
-            reject()
         population = spawn_population(n, params, seed)
         mask, rounds, trajectory = best_response_cascade(population, params)
         ref_mask, ref_rounds, ref_trajectory = _reference_cascade(population, params)
