@@ -3,7 +3,7 @@
 The package solves the participation equilibrium of an institutional-reform
 coordination game (closed forms and a contraction fixed point), validates
 it with a seeded agent-based Monte Carlo engine, runs comparative-statics
-sweeps, and reads/writes scenario and result files. See the README for the
+sweeps, reads scenario files and writes result files. See the README for the
 model and the CLI.
 """
 
@@ -76,7 +76,6 @@ from .scenario import (
     ingest_case_table,
     load_scenario,
     write_results,
-    write_scenario,
 )
 
 __version__ = "0.1.0"

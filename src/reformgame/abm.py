@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .equilibrium import effective_gain, solve_fixed_point
 from .model import (
@@ -88,7 +88,6 @@ class SimOutcome:
     success: bool
     beneficiary: StateGainAllocation
     iterations_to_converge: int
-    participated: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -251,10 +250,9 @@ def simulate_once(
             success=False,
             beneficiary=gain_allocation(state),
             iterations_to_converge=0,
-            participated=np.zeros(population.n, dtype=bool),
         )
 
-    mask, rounds, trajectory = best_response_cascade(population, params)
+    _, rounds, trajectory = best_response_cascade(population, params)
     x_hat = trajectory[-1]
     psi = success_probability(params.a, params.phi, x_hat) if x_hat > 0.0 else 0.0
     success = bool(rng.random() < psi)
@@ -265,7 +263,6 @@ def simulate_once(
         success=success,
         beneficiary=gain_allocation(state),
         iterations_to_converge=rounds,
-        participated=mask,
     )
 
 

@@ -20,7 +20,8 @@ number: the non-standard literals ``NaN``, ``Infinity`` and ``-Infinity``
 are a parse error naming where they sit, and a number beyond the float
 range is rejected by name (``params`` fields through the ranges in
 :data:`~reformgame.model.PARAM_RANGES`). Relative ``case_data`` paths
-resolve against the scenario file's directory.
+resolve against the scenario file's directory. Every section is read
+through one field table; scenarios are only read, never written.
 
 Result writers emit CSV or JSON with floats at 12 significant digits and
 no timestamps, so identical runs produce byte-identical files.
@@ -29,6 +30,7 @@ no timestamps, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, fields
@@ -60,7 +62,6 @@ __all__ = [
     "Scenario",
     "BancarizationSeries",
     "load_scenario",
-    "write_scenario",
     "write_results",
     "ingest_case_table",
     "bundled_path",
@@ -168,6 +169,23 @@ def bundled_path(name: str) -> Path:
     return path
 
 
+# Each section of a scenario: the type it builds and its fields in read
+# order, as (key, kind) or, for an optional field, (key, kind, default). A
+# kind is float, int, str, an Enum read from its string value, or tuple: the
+# non-empty array of finite numbers that sweep.values takes.
+_SECTIONS: dict[str, tuple[type, tuple[tuple[Any, ...], ...]]] = {
+    "params": (ModelParams, (
+        *((name, float) for name in PARAM_RANGES),
+        ("leader_type", LeaderType),
+        ("threshold_convention", ThresholdConvention, ThresholdConvention.DERIVED_CONSISTENT),
+        ("posterior_convention", PosteriorConvention, PosteriorConvention.PAPER),
+    )),
+    "abm": (AbmSettings, (("n", int), ("replications", int), ("seed", int))),
+    "sweep": (SweepSettings, (("parameter_name", str), ("values", tuple))),
+    "case_data": (CaseDataSettings, (("path", str),)),
+}
+
+
 def _as_number(value: Any, field: str, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioSchemaError(field, f"{label} must be a number, got {value!r}")
@@ -177,32 +195,26 @@ def _as_number(value: Any, field: str, label: str) -> float:
         raise ScenarioSchemaError(field, f"{label} is too large to be a float") from None
 
 
-def _require_number(obj: dict, key: str, where: str) -> float:
+def _read(obj: dict, key: str, kind: Any, where: str) -> Any:
+    """The value of obj[key] as kind; ``where`` names obj in messages."""
+    field = f"{where}.{key}"
+    if kind is tuple:
+        raw = obj.get(key)
+        if not isinstance(raw, list) or not raw:
+            raise ScenarioSchemaError(field, f"{field} must be a non-empty array")
+        values = tuple(_as_number(v, field, f"{field}[{i}]") for i, v in enumerate(raw))
+        if not all(math.isfinite(v) for v in values):
+            raise ScenarioSchemaError(field, f"{field} must be finite numbers")
+        return values
     if key not in obj:
-        raise ScenarioSchemaError(f"{where}.{key}", f"missing required field {where}.{key}")
-    return _as_number(obj[key], f"{where}.{key}", f"{where}.{key}")
-
-
-def _require_int(obj: dict, key: str, where: str) -> int:
-    if key not in obj:
-        raise ScenarioSchemaError(f"{where}.{key}", f"missing required field {where}.{key}")
+        raise ScenarioSchemaError(field, f"missing required field {field}")
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioSchemaError(
-            f"{where}.{key}", f"{where}.{key} must be an integer, got {value!r}"
-        )
-    return value
-
-
-def _require_str(obj: dict, key: str, where: str) -> str:
-    if key not in obj:
-        raise ScenarioSchemaError(f"{where}.{key}", f"missing required field {where}.{key}")
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ScenarioSchemaError(
-            f"{where}.{key}", f"{where}.{key} must be a string, got {value!r}"
-        )
-    return value
+    if kind is float:
+        return _as_number(value, field, field)
+    wanted, noun = (int, "an integer") if kind is int else (str, "a string")
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        raise ScenarioSchemaError(field, f"{field} must be {noun}, got {value!r}")
+    return value if kind in (int, str) else _enum_value(value, kind, field)
 
 
 def _check_unknown(obj: dict, allowed: Sequence[str], where: str) -> None:
@@ -222,68 +234,17 @@ def _enum_value(raw: str, enum_cls: type[Enum], where: str) -> Any:
         raise ScenarioSchemaError(where, f"{where} must be one of: {options}; got {raw!r}")
 
 
-def _parse_params(obj: Any, overrides: dict[str, Any]) -> ModelParams:
+def _parse_section(obj: Any, name: str, overrides: dict[str, Any]) -> Any:
+    """Build a section's type from its object, the overrides replacing read fields."""
+    section_type, spec = _SECTIONS[name]
     if not isinstance(obj, dict):
-        raise ScenarioSchemaError("params", "params must be an object")
-    allowed = (*PARAM_RANGES, "leader_type", "threshold_convention", "posterior_convention")
-    _check_unknown(obj, allowed, "params")
-    numbers = {name: _require_number(obj, name, "params") for name in PARAM_RANGES}
-    leader = _enum_value(
-        _require_str(obj, "leader_type", "params"), LeaderType, "params.leader_type"
-    )
-    threshold = ThresholdConvention.DERIVED_CONSISTENT
-    if "threshold_convention" in obj:
-        threshold = _enum_value(
-            _require_str(obj, "threshold_convention", "params"),
-            ThresholdConvention,
-            "params.threshold_convention",
-        )
-    posterior = PosteriorConvention.PAPER
-    if "posterior_convention" in obj:
-        posterior = _enum_value(
-            _require_str(obj, "posterior_convention", "params"),
-            PosteriorConvention,
-            "params.posterior_convention",
-        )
-    return ModelParams(**{
-        "leader_type": leader,
-        "threshold_convention": threshold,
-        "posterior_convention": posterior,
-        **numbers,
-        **overrides,
-    })
-
-
-def _parse_abm(obj: Any) -> AbmSettings:
-    if not isinstance(obj, dict):
-        raise ScenarioSchemaError("abm", "abm must be an object")
-    _check_unknown(obj, ("n", "replications", "seed"), "abm")
-    return AbmSettings(
-        n=_require_int(obj, "n", "abm"),
-        replications=_require_int(obj, "replications", "abm"),
-        seed=_require_int(obj, "seed", "abm"),
-    )
-
-
-def _parse_sweep(obj: Any) -> SweepSettings:
-    if not isinstance(obj, dict):
-        raise ScenarioSchemaError("sweep", "sweep must be an object")
-    _check_unknown(obj, ("parameter_name", "values"), "sweep")
-    name = _require_str(obj, "parameter_name", "sweep")
-    raw = obj.get("values")
-    if not isinstance(raw, list) or not raw:
-        raise ScenarioSchemaError("sweep.values", "sweep.values must be a non-empty array")
-    values = tuple(_as_number(v, "sweep.values", f"sweep.values[{i}]") for i, v in enumerate(raw))
-    if not all(math.isfinite(v) for v in values):
-        raise ScenarioSchemaError("sweep.values", "sweep.values must be finite numbers")
-    return SweepSettings(parameter_name=name, values=values)
-
-
-def _parse_case_data(obj: Any) -> CaseDataSettings:
-    if not isinstance(obj, dict):
-        raise ScenarioSchemaError("case_data", "case_data must be an object")
-    _check_unknown(obj, ("path",), "case_data")
-    return CaseDataSettings(path=_require_str(obj, "path", "case_data"))
+        raise ScenarioSchemaError(name, f"{name} must be an object")
+    _check_unknown(obj, [key for key, *_ in spec], name)
+    values = {
+        key: _read(obj, key, kind, name) if key in obj or not default else default[0]
+        for key, kind, *default in spec
+    }
+    return section_type(**{**values, **overrides})
 
 
 class _Literal(str):
@@ -319,13 +280,13 @@ def load_scenario(path: str | Path, **param_overrides: Any) -> Scenario:
     the parameters are then built, and validated, once.
 
     Raises :class:`ScenarioParseError` for malformed JSON (including the
-    non-standard ``NaN``/``Infinity`` literals, whose location it names),
+    non-standard ``NaN``/``Infinity`` literals, whose location it names,
+    a file that is not UTF-8 and one nested too deeply to parse),
     :class:`ScenarioSchemaError` for a shape violation or a repeated key
     (naming the field), and :class:`~reformgame.model.ParameterError` when
     the parameters break a model constraint.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     literals: list[_Literal] = []
     repeats: list[dict[str, _Repeated]] = []
 
@@ -342,9 +303,12 @@ def load_scenario(path: str | Path, **param_overrides: Any) -> Scenario:
         return obj
 
     try:
+        text = path.read_text(encoding="utf-8")
         raw = json.loads(text, parse_constant=keep_literal, object_pairs_hook=mark_repeats)
-    except ValueError as exc:
+    except ValueError as exc:  # UnicodeDecodeError too: JSON text is UTF-8
         raise ScenarioParseError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ScenarioParseError(f"{path}: nested too deeply to parse") from exc
     if literals:
         # A literal under a repeated key has no location.
         where, literal = _find(raw, _Literal) or ("", literals[0])
@@ -359,74 +323,25 @@ def load_scenario(path: str | Path, **param_overrides: Any) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioSchemaError("", "scenario must be a JSON object")
 
-    _check_unknown(raw, ("label", "run", "params", "abm", "sweep", "case_data"), "")
-    label = _require_str(raw, "label", "scenario").strip()
-    run = _enum_value(_require_str(raw, "run", "scenario"), RunKind, "run")
+    _check_unknown(raw, ("label", "run", *_SECTIONS), "")
+    label = _read(raw, "label", str, "scenario").strip()
+    run = _enum_value(_read(raw, "run", str, "scenario"), RunKind, "run")
     if "params" not in raw:
         raise ScenarioSchemaError("params", "missing required field params")
-    params = _parse_params(raw["params"], param_overrides)
-
     sections = {
-        "abm": _parse_abm(raw["abm"]) if "abm" in raw else None,
-        "sweep": _parse_sweep(raw["sweep"]) if "sweep" in raw else None,
-        "case_data": _parse_case_data(raw["case_data"]) if "case_data" in raw else None,
+        name: _parse_section(raw[name], name, param_overrides if name == "params" else {})
+        for name in _SECTIONS
+        if name in raw
     }
-    required = _RUN_SECTION[run]
-    for name, parsed in sections.items():
-        if name == required and parsed is None:
-            raise ScenarioSchemaError(
-                name, f"run = {run.value!r} requires a {name!r} section"
-            )
-        if name != required and parsed is not None:
+    required = ("params", _RUN_SECTION[run])
+    for name in _SECTIONS:
+        if name in required and name not in sections:
+            raise ScenarioSchemaError(name, f"run = {run.value!r} requires a {name!r} section")
+        if name not in required and name in sections:
             raise ScenarioSchemaError(
                 name, f"section {name!r} is not allowed when run = {run.value!r}"
             )
-
-    return Scenario(
-        label=label,
-        run=run,
-        params=params,
-        abm=sections["abm"],
-        sweep=sections["sweep"],
-        case_data=sections["case_data"],
-    )
-
-
-def _params_to_dict(params: ModelParams) -> dict[str, Any]:
-    out: dict[str, Any] = {name: getattr(params, name) for name in PARAM_RANGES}
-    out["leader_type"] = params.leader_type.value
-    out["threshold_convention"] = params.threshold_convention.value
-    out["posterior_convention"] = params.posterior_convention.value
-    return out
-
-
-def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "label": scenario.label,
-        "run": scenario.run.value,
-        "params": _params_to_dict(scenario.params),
-    }
-    if scenario.abm is not None:
-        out["abm"] = {
-            "n": scenario.abm.n,
-            "replications": scenario.abm.replications,
-            "seed": scenario.abm.seed,
-        }
-    if scenario.sweep is not None:
-        out["sweep"] = {
-            "parameter_name": scenario.sweep.parameter_name,
-            "values": list(scenario.sweep.values),
-        }
-    if scenario.case_data is not None:
-        out["case_data"] = {"path": scenario.case_data.path}
-    return out
-
-
-def write_scenario(scenario: Scenario, path: str | Path) -> None:
-    """Save a scenario as JSON; loading it back reproduces an equal Scenario."""
-    Path(path).write_text(
-        json.dumps(scenario_to_dict(scenario), indent=2) + "\n", encoding="utf-8"
-    )
+    return Scenario(label=label, run=run, **sections)
 
 
 def _fmt(value: Any) -> str:
@@ -536,46 +451,50 @@ def ingest_case_table(path: str | Path) -> tuple[BancarizationSeries, ...]:
 
     Computes the banked rate for each row with half-up rounding to one
     decimal. Malformed rows, zero totals, and counts exceeding the total
-    are rejected with their row number.
+    are rejected with their row number; a file that is not UTF-8, with
+    its path.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CaseTableError(f"{path}: not valid UTF-8 ({exc})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CaseTableError(f"{path}: empty file")
+    expected = ["year", "banked_count", "total_active"]
+    if [h.strip() for h in header] != expected:
+        raise CaseTableError(
+            f"{path}: header must be {','.join(expected)}, got {','.join(header)}"
+        )
+    out: list[BancarizationSeries] = []
+    for row_num, row in enumerate(reader, start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            raise CaseTableError(f"expected 3 columns, got {len(row)}", row=row_num)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CaseTableError(f"{path}: empty file")
-        expected = ["year", "banked_count", "total_active"]
-        if [h.strip() for h in header] != expected:
+            year, banked, total = (int(cell.strip()) for cell in row)
+        except ValueError:
+            raise CaseTableError(f"non-integer value in {row!r}", row=row_num)
+        if total <= 0:
+            raise CaseTableError(f"total_active must be positive, got {total}", row=row_num)
+        if banked < 0:
+            raise CaseTableError(f"banked_count must be >= 0, got {banked}", row=row_num)
+        if banked > total:
             raise CaseTableError(
-                f"{path}: header must be {','.join(expected)}, got {','.join(header)}"
+                f"banked_count {banked} exceeds total_active {total}", row=row_num
             )
-        out: list[BancarizationSeries] = []
-        for row_num, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise CaseTableError(f"expected 3 columns, got {len(row)}", row=row_num)
-            try:
-                year, banked, total = (int(cell.strip()) for cell in row)
-            except ValueError:
-                raise CaseTableError(f"non-integer value in {row!r}", row=row_num)
-            if total <= 0:
-                raise CaseTableError(f"total_active must be positive, got {total}", row=row_num)
-            if banked < 0:
-                raise CaseTableError(f"banked_count must be >= 0, got {banked}", row=row_num)
-            if banked > total:
-                raise CaseTableError(
-                    f"banked_count {banked} exceeds total_active {total}", row=row_num
-                )
-            out.append(
-                BancarizationSeries(
-                    year=year,
-                    banked_count=banked,
-                    total_active=total,
-                    rate_percent=_rate_half_up_tenths(banked, total),
-                )
+        out.append(
+            BancarizationSeries(
+                year=year,
+                banked_count=banked,
+                total_active=total,
+                rate_percent=_rate_half_up_tenths(banked, total),
             )
+        )
     if not out:
         raise CaseTableError(f"{path}: no data rows")
     return tuple(out)

@@ -293,7 +293,9 @@ class TestSimulateOnce:
         outcome = simulate_once(
             population, params, seed=54, force_state=WorldState.E3, force_call=True
         )
-        assert not outcome.participated[~population.reached].any()
+        mask, _, _ = best_response_cascade(population, params)
+        assert not mask[~population.reached].any()
+        assert outcome.participation_fraction == np.count_nonzero(mask) / population.n
 
     def test_beneficiary_follows_state(self):
         params = make_params()

@@ -201,6 +201,16 @@ class TestCaseData:
         assert [r["rate_percent"] for r in records] == [3.1, 33.8, 70.0, 73.9, 75.6, 82.6]
         assert "82.6%" in capsys.readouterr().out
 
+    def test_non_utf8_table_exits_two(self, tmp_path, capsys):
+        table = tmp_path / "bad.csv"
+        table.write_bytes(b"year,banked_count,total_active\n2011,\xff,3\n")
+        payload = solve_payload(run="case-data", case_data={"path": "bad.csv"})
+        assert run(["case-data", "--scenario", write_json(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {table}: not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
+            "in position 36: invalid start byte)"
+        ]
+
 
 class TestErrorPaths:
     def test_missing_scenario_file(self, capsys):
@@ -211,6 +221,23 @@ class TestErrorPaths:
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")
         assert run(["solve", "--scenario", path]) == 2
+
+    def test_non_utf8_scenario_exits_two(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.json"
+        scenario.write_bytes(b'{"label": "\xff"}')
+        assert run(["validate", "--scenario", scenario]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {scenario}: not valid JSON ('utf-8' codec can't decode byte 0xff "
+            "in position 11: invalid start byte)"
+        ]
+
+    def test_over_deep_scenario_exits_two(self, tmp_path, capsys):
+        scenario = tmp_path / "deep.json"
+        scenario.write_text("[" * 100_000, encoding="utf-8")
+        assert run(["validate", "--scenario", scenario]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {scenario}: nested too deeply to parse"
+        ]
 
     def test_nan_param_is_a_parse_error(self, tmp_path, capsys):
         for literal in ("NaN", "Infinity", "-Infinity"):

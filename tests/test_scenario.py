@@ -23,7 +23,6 @@ from reformgame import (
     ingest_case_table,
     load_scenario,
     write_results,
-    write_scenario,
 )
 
 from conftest import BASELINE, make_params
@@ -395,35 +394,60 @@ class TestRejections:
         assert (where, str(err.value)) == (field, message)
 
 
-class TestScenarioRoundTrip:
+# The convention fields at their defaults, given explicitly.
+CONVENTIONS = {"threshold_convention": "derived-consistent", "posterior_convention": "paper"}
+
+
+class TestLoadRunKinds:
+    """Each run kind loads from a hand-written payload to the expected Scenario."""
+
     @pytest.mark.parametrize(
-        "scenario",
+        "payload,expected",
         [
-            Scenario(label="solve it", run=RunKind.SOLVE, params=BASELINE),
-            Scenario(
-                label="simulate it",
-                run=RunKind.SIMULATE,
-                params=make_params(leader_type=LeaderType.PARTISAN, G2=0.7),
-                abm=AbmSettings(n=2000, replications=3, seed=9),
+            pytest.param(
+                solve_payload(label="  solve it\n"),
+                Scenario(label="solve it", run=RunKind.SOLVE, params=BASELINE),
+                id="solve",
             ),
-            Scenario(
-                label="sweep it",
-                run=RunKind.SWEEP,
-                params=make_params(theta=1 / 3),
-                sweep=SweepSettings(parameter_name="gamma", values=(0.2, 0.4, 0.8)),
+            pytest.param(
+                solve_payload(label="\tsimulate it ", run="simulate",
+                              params={"leader_type": "partisan", "G2": 0.7, **CONVENTIONS},
+                              abm={"n": 2000, "replications": 3, "seed": 9}),
+                Scenario(
+                    label="simulate it",
+                    run=RunKind.SIMULATE,
+                    params=make_params(leader_type=LeaderType.PARTISAN, G2=0.7),
+                    abm=AbmSettings(n=2000, replications=3, seed=9),
+                ),
+                id="simulate",
             ),
-            Scenario(
-                label="case it",
-                run=RunKind.CASE_DATA,
-                params=BASELINE,
-                case_data=CaseDataSettings(path="bancarization.csv"),
+            pytest.param(
+                solve_payload(label=" sweep it", run="sweep",
+                              params={"theta": 1 / 3, **CONVENTIONS},
+                              sweep={"parameter_name": "gamma", "values": [0.2, 0.4, 0.8]}),
+                Scenario(
+                    label="sweep it",
+                    run=RunKind.SWEEP,
+                    params=make_params(theta=1 / 3),
+                    sweep=SweepSettings(parameter_name="gamma", values=(0.2, 0.4, 0.8)),
+                ),
+                id="sweep",
+            ),
+            pytest.param(
+                solve_payload(label="case it  ", run="case-data", params=CONVENTIONS,
+                              case_data={"path": "bancarization.csv"}),
+                Scenario(
+                    label="case it",
+                    run=RunKind.CASE_DATA,
+                    params=BASELINE,
+                    case_data=CaseDataSettings(path="bancarization.csv"),
+                ),
+                id="case-data",
             ),
         ],
     )
-    def test_write_then_load_is_identity(self, tmp_path, scenario):
-        path = tmp_path / "roundtrip.json"
-        write_scenario(scenario, path)
-        assert load_scenario(path) == scenario
+    def test_hand_written_payload_loads(self, tmp_path, payload, expected):
+        assert load_scenario(write_json(tmp_path, payload)) == expected
 
 
 class TestWriteResults:
