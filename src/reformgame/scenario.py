@@ -195,8 +195,8 @@ def _as_number(value: Any, field: str, label: str) -> float:
         raise ScenarioSchemaError(field, f"{label} is too large to be a float") from None
 
 
-def _read(obj: dict, key: str, kind: Any, where: str) -> Any:
-    """The value of obj[key] as kind; ``where`` names obj in messages."""
+def _read(obj: dict, where: str, key: str, kind: Any, *default: Any) -> Any:
+    """obj[key] as kind, or the default if given and key is absent; where names obj."""
     field = f"{where}.{key}"
     if kind is tuple:
         raw = obj.get(key)
@@ -207,6 +207,8 @@ def _read(obj: dict, key: str, kind: Any, where: str) -> Any:
             raise ScenarioSchemaError(field, f"{field} must be finite numbers")
         return values
     if key not in obj:
+        if default:
+            return default[0]
         raise ScenarioSchemaError(field, f"missing required field {field}")
     value = obj[key]
     if kind is float:
@@ -239,11 +241,8 @@ def _parse_section(obj: Any, name: str, overrides: dict[str, Any]) -> Any:
     section_type, spec = _SECTIONS[name]
     if not isinstance(obj, dict):
         raise ScenarioSchemaError(name, f"{name} must be an object")
-    _check_unknown(obj, [key for key, *_ in spec], name)
-    values = {
-        key: _read(obj, key, kind, name) if key in obj or not default else default[0]
-        for key, kind, *default in spec
-    }
+    _check_unknown(obj, [row[0] for row in spec], name)
+    values = {row[0]: _read(obj, name, *row) for row in spec}
     return section_type(**{**values, **overrides})
 
 
@@ -324,8 +323,8 @@ def load_scenario(path: str | Path, **param_overrides: Any) -> Scenario:
         raise ScenarioSchemaError("", "scenario must be a JSON object")
 
     _check_unknown(raw, ("label", "run", *_SECTIONS), "")
-    label = _read(raw, "label", str, "scenario").strip()
-    run = _enum_value(_read(raw, "run", str, "scenario"), RunKind, "run")
+    label = _read(raw, "scenario", "label", str).strip()
+    run = _enum_value(_read(raw, "scenario", "run", str), RunKind, "run")
     if "params" not in raw:
         raise ScenarioSchemaError("params", "missing required field params")
     sections = {
