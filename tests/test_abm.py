@@ -373,6 +373,7 @@ _PARTISAN = LeaderType.PARTISAN
 _PAPER = PosteriorConvention.PAPER
 _BAYES = PosteriorConvention.BAYES
 
+
 def _valid_cascade_params(**fields):
     """_cascade_params, with a draw that breaks a model constraint rejected.
 

@@ -213,7 +213,7 @@ CASE = solve_payload(run="case-data", case_data={"path": "bancarization.csv"})
 
 
 def edit(payload, section, **changes):
-    """A copy of payload whose section (None: the top level) has keys set or, with MISSING, removed."""
+    """A copy of payload with keys of one section (None: the top level) set or removed."""
     out = json.loads(json.dumps(payload))
     target = out if section is None else out[section]
     for key, value in changes.items():
@@ -248,8 +248,6 @@ def section_cases(section, base):
                     ScenarioSchemaError, f"{section}.extra", f"unknown field 'extra' in {section}")
 
 
-RUN_OPTIONS = "solve, simulate, sweep, case-data"
-
 REJECTIONS = [
     # The top level.
     rejection("not-an-object", None, ScenarioSchemaError, "", "scenario must be a JSON object",
@@ -266,7 +264,8 @@ REJECTIONS = [
               ScenarioSchemaError, "scenario.run",
               "scenario.run must be a string, got ['solve']"),
     rejection("run-unknown", edit(solve_payload(), None, run="explore"),
-              ScenarioSchemaError, "run", f"run must be one of: {RUN_OPTIONS}; got 'explore'"),
+              ScenarioSchemaError, "run",
+              "run must be one of: solve, simulate, sweep, case-data; got 'explore'"),
     rejection("params-missing", edit(solve_payload(), None, params=MISSING),
               ScenarioSchemaError, "params", "missing required field params"),
     # params.
