@@ -14,10 +14,11 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .abm import estimate_equilibrium
-from .equilibrium import ConvergenceError, equilibrium_report
+from .abm import AbmEstimate, estimate_equilibrium
+from .equilibrium import ConvergenceError, EquilibriumResult, equilibrium_report
 from .model import DomainError, PosteriorConvention, ThresholdConvention
 from .scenario import (
+    BancarizationSeries,
     Scenario,
     ScenarioError,
     ScenarioSchemaError,
@@ -25,7 +26,7 @@ from .scenario import (
     load_scenario,
     write_results,
 )
-from .sweep import grid_sweep
+from .sweep import SweepSeries, grid_sweep
 
 EXIT_OK = 0
 EXIT_INVALID_PARAMS = 1
@@ -56,14 +57,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equilibrium and Monte Carlo toolkit for the reform participation game",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", parents=[common], help="solve the analytic equilibrium")
-    simulate = sub.add_parser("simulate", parents=[common],
-                              help="Monte Carlo estimate of the equilibrium")
+    for name, handler, help_text in (
+        ("solve", _cmd_solve, "solve the analytic equilibrium"),
+        ("simulate", _cmd_simulate, "Monte Carlo estimate of the equilibrium"),
+        ("sweep", _cmd_sweep, "comparative-statics grid sweep"),
+        ("validate", _cmd_validate, "validate a scenario file"),
+        ("case-data", _cmd_case_data, "ingest a banked-payroll case table"),
+    ):
+        sub.add_parser(name, parents=[common], help=help_text).set_defaults(handler=handler)
+    simulate = sub.choices["simulate"]
     simulate.add_argument("--agents", type=int, help="agents per replication")
     simulate.add_argument("--replications", type=int, help="number of replications")
-    sub.add_parser("sweep", parents=[common], help="comparative-statics grid sweep")
-    sub.add_parser("validate", parents=[common], help="validate a scenario file")
-    sub.add_parser("case-data", parents=[common], help="ingest a banked-payroll case table")
     return parser
 
 
@@ -94,12 +98,12 @@ def _abm_settings(scenario: Scenario, args: argparse.Namespace) -> tuple[int, in
     return n, reps, seed
 
 
-def _cmd_validate(scenario: Scenario) -> None:
+def _cmd_validate(scenario: Scenario, args: argparse.Namespace) -> None:
     print(f"scenario '{scenario.label}': parameters valid "
           f"({scenario.params.leader_type.value} policy maker, run = {scenario.run.value})")
 
 
-def _cmd_solve(scenario: Scenario, args: argparse.Namespace) -> None:
+def _cmd_solve(scenario: Scenario, args: argparse.Namespace) -> EquilibriumResult:
     report = equilibrium_report(scenario.params)
     eq = report.equilibrium
     print(
@@ -114,11 +118,10 @@ def _cmd_solve(scenario: Scenario, args: argparse.Namespace) -> None:
         f"  info_cost = {report.costs.info_cost:.12g}, "
         f"partisan_cost = {report.costs.partisan_cost:.12g}"
     )
-    if args.out:
-        write_results(eq, args.out, args.format)
+    return eq
 
 
-def _cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> None:
+def _cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> AbmEstimate:
     n, reps, seed = _abm_settings(scenario, args)
     est = estimate_equilibrium(scenario.params, n=n, replications=reps, seed=seed)
     print(
@@ -126,11 +129,10 @@ def _cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> None:
         f"(stderr {est.stderr_x:.2g}), analytic x_star = {est.analytic_x:.6f}, "
         f"gap = {est.abs_gap:.6f}, success rate = {est.mean_success_rate:.3f}"
     )
-    if args.out:
-        write_results(est, args.out, args.format)
+    return est
 
 
-def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> None:
+def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> SweepSeries:
     if scenario.sweep is None:
         raise ScenarioSchemaError("sweep", "scenario has no sweep section")
     series = grid_sweep(scenario.params, scenario.sweep.parameter_name,
@@ -141,25 +143,23 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> None:
     )
     for value, reason in series.skipped:
         print(f"  skipped {series.parameter_name} = {value:g}: {reason}", file=sys.stderr)
-    if args.out:
-        write_results(series, args.out, args.format)
+    return series
 
 
-def _cmd_case_data(scenario: Scenario, args: argparse.Namespace,
-                   scenario_path: Path) -> None:
+def _cmd_case_data(scenario: Scenario,
+                   args: argparse.Namespace) -> tuple[BancarizationSeries, ...]:
     if scenario.case_data is None:
         raise ScenarioSchemaError("case_data", "scenario has no case_data section")
     data_path = Path(scenario.case_data.path)
     if not data_path.is_absolute():
-        data_path = scenario_path.parent / data_path
+        data_path = Path(args.scenario).parent / data_path
     rows = ingest_case_table(data_path)
     for row in rows:
         print(
             f"{row.year}: {row.banked_count} / {row.total_active} banked "
             f"({row.rate_percent:.1f}%)"
         )
-    if args.out:
-        write_results(list(rows), args.out, args.format)
+    return rows
 
 
 def run_command(argv: list[str]) -> int:
@@ -171,18 +171,10 @@ def run_command(argv: list[str]) -> int:
         return EXIT_OK if code == 0 else EXIT_IO
 
     try:
-        scenario_path = Path(args.scenario)
-        scenario = load_scenario(scenario_path, **_param_overrides(args))
-        if args.command == "validate":
-            _cmd_validate(scenario)
-        elif args.command == "solve":
-            _cmd_solve(scenario, args)
-        elif args.command == "simulate":
-            _cmd_simulate(scenario, args)
-        elif args.command == "sweep":
-            _cmd_sweep(scenario, args)
-        elif args.command == "case-data":
-            _cmd_case_data(scenario, args, scenario_path)
+        scenario = load_scenario(args.scenario, **_param_overrides(args))
+        result = args.handler(scenario, args)
+        if args.out and result is not None:  # validate has no record
+            write_results(result, args.out, args.format)
     except DomainError as exc:  # includes ParameterError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_PARAMS

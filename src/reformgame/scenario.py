@@ -23,8 +23,10 @@ range is rejected by name (``params`` fields through the ranges in
 resolve against the scenario file's directory. Every section is read
 through one field table; scenarios are only read, never written.
 
-Result writers emit CSV or JSON with floats at 12 significant digits and
-no timestamps, so identical runs produce byte-identical files.
+:func:`write_results` writes every result, as CSV or JSON, through one
+encoder: a record's columns and keys are its dataclass fields in
+declaration order, floats carry 12 significant digits, and there are no
+timestamps, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,14 +35,14 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, is_dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence
 
 from .abm import AbmEstimate
-from .equilibrium import EquilibriumReport, EquilibriumResult
+from .equilibrium import EquilibriumResult
 from .model import (
     PARAM_RANGES,
     LeaderType,
@@ -48,7 +50,7 @@ from .model import (
     PosteriorConvention,
     ThresholdConvention,
 )
-from .sweep import SweepSeries
+from .sweep import SWEEPABLE_PARAMETERS, SweepSeries
 
 __all__ = [
     "ScenarioError",
@@ -171,8 +173,9 @@ def bundled_path(name: str) -> Path:
 
 # Each section of a scenario: the type it builds and its fields in read
 # order, as (key, kind) or, for an optional field, (key, kind, default). A
-# kind is float, int, str, an Enum read from its string value, or tuple: the
-# non-empty array of finite numbers that sweep.values takes.
+# kind is float, int, str, an Enum read from its string value, a tuple of
+# strings that the value must be one of, or the type tuple: the non-empty
+# array of finite numbers that sweep.values takes.
 _SECTIONS: dict[str, tuple[type, tuple[tuple[Any, ...], ...]]] = {
     "params": (ModelParams, (
         *((name, float) for name in PARAM_RANGES),
@@ -181,7 +184,7 @@ _SECTIONS: dict[str, tuple[type, tuple[tuple[Any, ...], ...]]] = {
         ("posterior_convention", PosteriorConvention, PosteriorConvention.PAPER),
     )),
     "abm": (AbmSettings, (("n", int), ("replications", int), ("seed", int))),
-    "sweep": (SweepSettings, (("parameter_name", str), ("values", tuple))),
+    "sweep": (SweepSettings, (("parameter_name", SWEEPABLE_PARAMETERS), ("values", tuple))),
     "case_data": (CaseDataSettings, (("path", str),)),
 }
 
@@ -216,7 +219,7 @@ def _read(obj: dict, where: str, key: str, kind: Any, *default: Any) -> Any:
     wanted, noun = (int, "an integer") if kind is int else (str, "a string")
     if isinstance(value, bool) or not isinstance(value, wanted):
         raise ScenarioSchemaError(field, f"{field} must be {noun}, got {value!r}")
-    return value if kind in (int, str) else _enum_value(value, kind, field)
+    return value if kind in (int, str) else _choice(value, kind, field)
 
 
 def _check_unknown(obj: dict, allowed: Sequence[str], where: str) -> None:
@@ -228,12 +231,13 @@ def _check_unknown(obj: dict, allowed: Sequence[str], where: str) -> None:
             )
 
 
-def _enum_value(raw: str, enum_cls: type[Enum], where: str) -> Any:
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        options = ", ".join(e.value for e in enum_cls)
-        raise ScenarioSchemaError(where, f"{where} must be one of: {options}; got {raw!r}")
+def _choice(raw: str, choices: Any, where: str) -> Any:
+    """raw as one of the choices: an Enum, built from its value, or a tuple of strings."""
+    options = [getattr(choice, "value", choice) for choice in choices]
+    if raw not in options:
+        message = f"{where} must be one of: {', '.join(options)}; got {raw!r}"
+        raise ScenarioSchemaError(where, message)
+    return choices(raw) if isinstance(choices, type) else raw
 
 
 def _parse_section(obj: Any, name: str, overrides: dict[str, Any]) -> Any:
@@ -324,7 +328,7 @@ def load_scenario(path: str | Path, **param_overrides: Any) -> Scenario:
 
     _check_unknown(raw, ("label", "run", *_SECTIONS), "")
     label = _read(raw, "scenario", "label", str).strip()
-    run = _enum_value(_read(raw, "scenario", "run", str), RunKind, "run")
+    run = _choice(_read(raw, "scenario", "run", str), RunKind, "run")
     if "params" not in raw:
         raise ScenarioSchemaError("params", "missing required field params")
     sections = {
@@ -343,98 +347,62 @@ def load_scenario(path: str | Path, **param_overrides: Any) -> Scenario:
     return Scenario(label=label, run=run, **sections)
 
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
+_RECORDS = (EquilibriumResult, AbmEstimate, BancarizationSeries)
+
+
+def _json(value: Any) -> Any:
+    """value as JSON data: floats at 12 significant digits, so that JSON and
+    CSV report identical values; dataclasses as objects of their fields in
+    declaration order (a plain dataclass's instance dict); enums by value."""
     if isinstance(value, float):
-        return format(value, ".12g")
-    if isinstance(value, Enum):
-        return str(value.value)
-    return str(value)
-
-
-def _json_number(value: float) -> float:
-    # Round-trips through the 12-significant-digit rendering so JSON and
-    # CSV report identical values.
-    return float(format(value, ".12g"))
-
-
-def _columns(record: Any) -> dict[str, Any]:
-    """A flat record's columns: its dataclass fields, in declaration order.
-
-    Both the CSV header and the JSON keys come from here.
-    """
-    return {f.name: getattr(record, f.name) for f in fields(record)}
-
-
-def _json_value(value: Any) -> Any:
-    if isinstance(value, float):
-        return _json_number(value)
+        return float(f"{value:.12g}")
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
+    if is_dataclass(value):
+        return {name: _json(item) for name, item in vars(value).items()}
     if isinstance(value, Enum):
         return value.value
     return value
 
 
-def _json_columns(record: Any) -> dict[str, Any]:
-    return {name: _json_value(value) for name, value in _columns(record).items()}
-
-
-def _flat_records(result: Any) -> list[Any]:
-    if isinstance(result, EquilibriumReport):
-        result = result.equilibrium
-    if isinstance(result, (EquilibriumResult, AbmEstimate)):
-        return [result]
-    if isinstance(result, (list, tuple)) and result and all(
-        isinstance(r, BancarizationSeries) for r in result
-    ):
-        return list(result)
-    raise TypeError(f"no writer for results of type {type(result).__name__}")
-
-
-def _to_table(result: Any) -> list[dict[str, Any]]:
+def _rows(result: Any) -> list[dict[str, Any]]:
+    """A result's CSV rows: one per record, or per kept sweep point."""
     if isinstance(result, SweepSeries):
-        return [
-            {"parameter": result.parameter_name, "value": value, **_columns(point)}
-            for value, point in zip(result.values, result.outputs)
-        ]
-    return [_columns(record) for record in _flat_records(result)]
+        return [{"parameter": result.parameter_name, "value": value, **vars(point)}
+                for value, point in zip(result.values, result.outputs)]
+    records = result if isinstance(result, (list, tuple)) else [result]
+    if not records or not all(isinstance(record, _RECORDS) for record in records):
+        raise TypeError(f"no writer for results of type {type(result).__name__}")
+    return [vars(record) for record in records]
 
 
-def _to_json_payload(result: Any) -> Any:
-    if isinstance(result, SweepSeries):
-        return {
-            "parameter_name": result.parameter_name,
-            "values": [_json_number(v) for v in result.values],
-            "outputs": [_json_columns(p) for p in result.outputs],
-            "monotonicity": result.monotonicity.value,
-            "target": result.target,
-            "skipped": [[_json_number(v), reason] for v, reason in result.skipped],
-        }
-    records = [_json_columns(record) for record in _flat_records(result)]
-    return records if isinstance(result, (list, tuple)) else records[0]
+def _text(cell: Any) -> str:
+    # A float's CSV text has no trailing ".0": 1e11 is 100000000000.
+    return f"{cell:.12g}" if isinstance(cell, float) else str(_json(cell))
 
 
 def write_results(result: Any, path: str | Path, format: str = "csv") -> None:
-    """Persist a result record as CSV or JSON.
+    """Persist a result as CSV or JSON.
 
-    Supports equilibrium results (and reports), sweep series, Monte Carlo
-    estimates, and case-table rows. Floats carry 12 significant digits and
-    the output contains nothing run-dependent, so rewriting the same result
-    yields byte-identical files.
+    Takes a sweep series, or an equilibrium result, a Monte Carlo estimate
+    or case-table rows, alone or as a non-empty list or tuple; anything
+    else, an equilibrium report included, raises TypeError. An unknown
+    format raises ValueError before the result is looked at. A record's
+    CSV columns and JSON keys are its dataclass fields in declaration
+    order; a sweep's CSV has one row per kept point, and its JSON is its
+    SweepSeries fields in order. Floats carry 12 significant digits and
+    the output contains nothing run-dependent, so rewriting the same
+    result yields byte-identical files.
     """
-    path = Path(path)
-    if format == "csv":
-        rows = _to_table(result)
-        lines = [",".join(rows[0])]
-        lines += [",".join(_fmt(cell) for cell in row.values()) for row in rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    elif format == "json":
-        payload = _to_json_payload(result)
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    else:
+    if format not in ("csv", "json"):
         raise ValueError(f"unknown output format {format!r}; expected 'csv' or 'json'")
+    rows = _rows(result)  # checks the result's type for both formats
+    if format == "csv":
+        lines = [",".join(rows[0]), *(",".join(map(_text, row.values())) for row in rows)]
+        text = "\n".join(lines)
+    else:
+        text = json.dumps(_json(result), indent=2)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _rate_half_up_tenths(banked: int, total: int) -> float:
@@ -449,13 +417,13 @@ def ingest_case_table(path: str | Path) -> tuple[BancarizationSeries, ...]:
     """Read a banked-payroll CSV (year, banked_count, total_active).
 
     Computes the banked rate for each row with half-up rounding to one
-    decimal. Malformed rows, zero totals, and counts exceeding the total
-    are rejected with their row number; a file that is not UTF-8, with
-    its path.
+    decimal. A leading UTF-8 byte order mark is skipped. Malformed rows,
+    zero totals, and counts exceeding the total are rejected with their row
+    number; a file that is not UTF-8, with its path.
     """
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CaseTableError(f"{path}: not valid UTF-8 ({exc})") from exc
     reader = csv.reader(io.StringIO(text, newline=""))

@@ -180,6 +180,18 @@ class TestSweep:
         scenario = write_json(tmp_path, solve_payload())
         assert run(["sweep", "--scenario", scenario]) == 2
 
+    def test_unknown_parameter_exits_two(self, tmp_path, capsys):
+        payload = solve_payload(run="sweep", sweep={"parameter_name": "zeta", "values": [0.1]})
+        scenario = write_json(tmp_path, payload)
+        out = tmp_path / "sweep.csv"
+        for command in ("validate", "sweep"):
+            assert run([command, "--scenario", scenario, "--out", out]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "error: sweep.parameter_name must be one of: a, phi, theta, gamma, kappa_max, "
+                "Gamma_gain, p1, p2, s, q, w, G2, G3; got 'zeta'"
+            ]
+            assert not out.exists()
+
 
 class TestCaseData:
     def test_bundled_table_to_json(self, tmp_path, capsys):
@@ -210,6 +222,39 @@ class TestCaseData:
             f"error: {table}: not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
             "in position 36: invalid start byte)"
         ]
+
+    def test_byte_order_mark_table(self, tmp_path, capsys):
+        table = tmp_path / "bom.csv"
+        table.write_bytes(b"\xef\xbb\xbf" + bundled_path("bancarization.csv").read_bytes())
+        payload = solve_payload(run="case-data", case_data={"path": "bom.csv"})
+        scenario = write_json(tmp_path, payload)
+        assert run(["case-data", "--scenario", scenario]) == 0
+        bom_stdout = capsys.readouterr().out
+        assert run(["case-data", "--scenario", bundled_path("bancarization.json")]) == 0
+        assert bom_stdout == capsys.readouterr().out
+        # Past the mark, a byte that is not UTF-8 still exits 2; its position
+        # counts from the byte after the mark.
+        table.write_bytes(b"\xef\xbb\xbfyear,banked_count,total_active\n2011,\xff,3\n")
+        assert run(["case-data", "--scenario", scenario]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {table}: not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
+            "in position 36: invalid start byte)"
+        ]
+
+
+BUNDLED_SCENARIOS = sorted(p.name for p in bundled_path("baseline.json").parent.glob("*.json"))
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("scenario", BUNDLED_SCENARIOS)
+    @pytest.mark.parametrize("command", ["solve", "simulate", "sweep", "validate", "case-data"])
+    def test_written_only_by_a_run_with_a_record(self, tmp_path, capsys, command, scenario, fmt):
+        # A failed run and validate, which has no record, leave no --out file.
+        out = tmp_path / f"out.{fmt}"
+        code = run([command, "--scenario", bundled_path(scenario), "--format", fmt, "--out", out])
+        capsys.readouterr()
+        assert out.exists() == (code == 0 and command != "validate")
 
 
 class TestErrorPaths:

@@ -8,12 +8,15 @@ from reformgame import (
     CaseDataSettings,
     CaseTableError,
     LeaderType,
+    Monotonicity,
     ParameterError,
     PosteriorConvention,
     RunKind,
     Scenario,
     ScenarioParseError,
     ScenarioSchemaError,
+    SweepPoint,
+    SweepSeries,
     SweepSettings,
     ThresholdConvention,
     bundled_path,
@@ -314,6 +317,10 @@ REJECTIONS = [
     *field_cases("abm", SIMULATE, "seed", "int"),
     *section_cases("sweep", SWEEP),
     *field_cases("sweep", SWEEP, "parameter_name", "str"),
+    rejection("sweep.parameter_name-unknown", edit(SWEEP, "sweep", parameter_name="zeta"),
+              ScenarioSchemaError, "sweep.parameter_name",
+              "sweep.parameter_name must be one of: a, phi, theta, gamma, kappa_max, "
+              "Gamma_gain, p1, p2, s, q, w, G2, G3; got 'zeta'"),
     *section_cases("case_data", CASE),
     *field_cases("case_data", CASE, "path", "str"),
     # sweep.values.
@@ -449,6 +456,137 @@ class TestLoadRunKinds:
         assert load_scenario(write_json(tmp_path, payload)) == expected
 
 
+# Results with the exact bytes write_results gives them in CSV and in JSON.
+WRITTEN = [
+    pytest.param(
+        SweepSeries(
+            parameter_name="theta",
+            values=(0.1, 0.3),
+            outputs=(SweepPoint(2 / 17, 4 / 17, 0.5), SweepPoint(0.1, 0.2, 1 / 3)),
+            monotonicity=Monotonicity.DECREASING,
+            skipped=((0.2, "participant_gain_bound: a*gamma*Gamma_gain must be < kappa_max"),),
+        ),
+        """\
+parameter,value,kappa_star,x_star,psi_star
+theta,0.1,0.117647058824,0.235294117647,0.5
+theta,0.3,0.1,0.2,0.333333333333
+""",
+        """\
+{
+  "parameter_name": "theta",
+  "values": [
+    0.1,
+    0.3
+  ],
+  "outputs": [
+    {
+      "kappa_star": 0.117647058824,
+      "x_star": 0.235294117647,
+      "psi_star": 0.5
+    },
+    {
+      "kappa_star": 0.1,
+      "x_star": 0.2,
+      "psi_star": 0.333333333333
+    }
+  ],
+  "monotonicity": "Decreasing",
+  "target": "kappa_star",
+  "skipped": [
+    [
+      0.2,
+      "participant_gain_bound: a*gamma*Gamma_gain must be < kappa_max"
+    ]
+  ]
+}
+""",
+        id="sweep-with-a-skipped-point",
+    ),
+    pytest.param(
+        SweepSeries(
+            parameter_name="kappa_max",
+            values=(1e-05, 1e11),
+            outputs=(SweepPoint(0.0, 0.0, 0.0), SweepPoint(1e11, 1e-05, 1.0)),
+            monotonicity=Monotonicity.INCREASING,
+        ),
+        """\
+parameter,value,kappa_star,x_star,psi_star
+kappa_max,1e-05,0,0,0
+kappa_max,100000000000,100000000000,1e-05,1
+""",
+        """\
+{
+  "parameter_name": "kappa_max",
+  "values": [
+    1e-05,
+    100000000000.0
+  ],
+  "outputs": [
+    {
+      "kappa_star": 0.0,
+      "x_star": 0.0,
+      "psi_star": 0.0
+    },
+    {
+      "kappa_star": 100000000000.0,
+      "x_star": 1e-05,
+      "psi_star": 1.0
+    }
+  ],
+  "monotonicity": "Increasing",
+  "target": "kappa_star",
+  "skipped": []
+}
+""",
+        id="grid-with-1e11-and-1e-5",
+    ),
+    pytest.param(
+        (BancarizationSeries(2011, 26871, 874559, 3.1),
+         BancarizationSeries(2012, 300000, 887574, 33.8)),
+        """\
+year,banked_count,total_active,rate_percent
+2011,26871,874559,3.1
+2012,300000,887574,33.8
+""",
+        """\
+[
+  {
+    "year": 2011,
+    "banked_count": 26871,
+    "total_active": 874559,
+    "rate_percent": 3.1
+  },
+  {
+    "year": 2012,
+    "banked_count": 300000,
+    "total_active": 887574,
+    "rate_percent": 33.8
+  }
+]
+""",
+        id="tuple-of-case-rows",
+    ),
+    pytest.param(
+        [BancarizationSeries(2016, 747093, 904877, 82.6)],
+        """\
+year,banked_count,total_active,rate_percent
+2016,747093,904877,82.6
+""",
+        """\
+[
+  {
+    "year": 2016,
+    "banked_count": 747093,
+    "total_active": 904877,
+    "rate_percent": 82.6
+  }
+]
+""",
+        id="one-row-case-list",
+    ),
+]
+
+
 class TestWriteResults:
     def test_equilibrium_csv(self, tmp_path):
         result = equilibrium_report(BASELINE).equilibrium
@@ -525,14 +663,25 @@ class TestWriteResults:
         assert lines[1] == "2011,26871,874559,3.1"
         assert lines[-1] == "2016,747093,904877,82.6"
 
+    @pytest.mark.parametrize("result,csv_text,json_text", WRITTEN)
+    def test_exact_bytes(self, tmp_path, result, csv_text, json_text):
+        for fmt, text in (("csv", csv_text), ("json", json_text)):
+            path = tmp_path / f"out.{fmt}"
+            write_results(result, path, fmt)
+            assert path.read_bytes() == text.encode("utf-8")
+
     def test_unknown_format_rejected(self, tmp_path):
-        result = equilibrium_report(BASELINE).equilibrium
-        with pytest.raises(ValueError):
-            write_results(result, tmp_path / "x.xml", "xml")
+        # The format is checked before the result's type.
+        for result in (equilibrium_report(BASELINE).equilibrium, object()):
+            with pytest.raises(ValueError):
+                write_results(result, tmp_path / "x.xml", "xml")
 
     def test_unknown_record_type_rejected(self, tmp_path):
-        with pytest.raises(TypeError):
-            write_results(object(), tmp_path / "x.csv", "csv")
+        # A report is not a record: the CLI writes its equilibrium.
+        for result in (object(), equilibrium_report(BASELINE), [], [object()]):
+            for fmt in ("csv", "json"):
+                with pytest.raises(TypeError):
+                    write_results(result, tmp_path / f"x.{fmt}", fmt)
 
 
 class TestIngestCaseTable:
@@ -542,6 +691,12 @@ class TestIngestCaseTable:
         assert rows[0] == BancarizationSeries(
             year=2011, banked_count=26871, total_active=874559, rate_percent=3.1
         )
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        bundled = bundled_path("bancarization.csv")
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + bundled.read_bytes())
+        assert ingest_case_table(path) == ingest_case_table(bundled)
 
     def test_rates_match_raw_ratio_within_half_a_tenth(self):
         for row in ingest_case_table(bundled_path("bancarization.csv")):
