@@ -156,30 +156,14 @@ def closed_form_threshold(
     return share * params.kappa_max
 
 
-def solve_fixed_point(
-    params: ModelParams,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> EquilibriumResult:
-    """Solve for the fixed point of the best-response map.
+def _fixed_point(
+    params: ModelParams, tol: float, max_iter: int
+) -> tuple[float, float, float, float, int, float]:
+    """The solver's kernel, for callers that checked ``tol`` and ``max_iter``.
 
-    On ``[0, kappa_max]`` the map is affine, ``kappa -> seed + L*kappa``
-    with ``seed = s*theta``, ``L = s*(1-theta)/kappa_max`` and
-    ``s = a*gamma*Gamma_eff``, so the Aitken delta-squared limit of its
-    iterates is the fixed point ``seed/(1-L)`` itself. The solver starts
-    there, with ``1-L`` written as ``((kappa_max - s) + s*theta)/kappa_max``
-    to avoid cancellation, then applies the map until the step falls within
-    ``tol`` (relative to the threshold once it exceeds 1, where the float
-    spacing itself can exceed an absolute ``tol``) and stops shrinking. The
-    result is therefore a checked fixed point of the map, reached in a few
-    polish steps for every valid parameter set; ``max_iter`` caps those
-    steps.
+    Returns ``(kappa_star, x_star, psi_star, effective_gain, iterations,
+    residual)``; :func:`solve_fixed_point` documents the method.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-
     gain = effective_gain(params)
     scale = params.a * params.gamma * gain
     seed = scale * params.theta
@@ -213,6 +197,38 @@ def solve_fixed_point(
 
     x_star = participation_fraction(params, kappa)
     psi_star = success_probability(params.a, params.phi, x_star)
+    return kappa, x_star, psi_star, gain, iterations, residual
+
+
+def solve_fixed_point(
+    params: ModelParams,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> EquilibriumResult:
+    """Solve for the fixed point of the best-response map.
+
+    On ``[0, kappa_max]`` the map is affine, ``kappa -> seed + L*kappa``
+    with ``seed = s*theta``, ``L = s*(1-theta)/kappa_max`` and
+    ``s = a*gamma*Gamma_eff``, so the Aitken delta-squared limit of its
+    iterates is the fixed point ``seed/(1-L)`` itself. The solver starts
+    there, with ``1-L`` written as ``((kappa_max - s) + s*theta)/kappa_max``
+    to avoid cancellation, then applies the map until the step falls within
+    ``tol`` (relative to the threshold once it exceeds 1, where the float
+    spacing itself can exceed an absolute ``tol``) and stops shrinking. The
+    result is therefore a checked fixed point of the map, reached in a few
+    polish steps for every valid parameter set; ``max_iter`` caps those
+    steps. ``tol`` must be a number above 0 (NaN is rejected).
+
+    The iteration lives in the private kernel ``_fixed_point``, which
+    ``grid_sweep`` calls directly; this function checks the settings, adds
+    the distance to the closed form and builds the record.
+    """
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must be > 0, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+
+    kappa, x_star, psi_star, gain, iterations, residual = _fixed_point(params, tol, max_iter)
     gap = abs(kappa - closed_form_threshold(params, params.threshold_convention))
     return EquilibriumResult(
         convention=params.threshold_convention,

@@ -183,6 +183,8 @@ class ModelParams:
         posterior_convention: belief-update rule after a partisan's call.
 
     Construction (``dataclasses.replace`` too) calls :func:`validate_params`.
+    Instances keep a ``__dict__`` (no ``slots``): sweeps copy it and build
+    their points through it.
     """
 
     a: float
@@ -360,3 +362,16 @@ def validate_params(params: ModelParams) -> ModelParams:
                 )
 
     return params
+
+
+def _params_from_fields(fields: dict) -> ModelParams:
+    """Build and validate a ModelParams from a dict of every one of its fields.
+
+    Equal to ``ModelParams(**fields)``, with the same hash and repr, and
+    raising exactly what it raises; it skips the generated ``__init__``,
+    which only assigns the fields one ``object.__setattr__`` at a time. The
+    dict is copied, so the caller may change it afterwards.
+    """
+    params = object.__new__(ModelParams)
+    params.__dict__.update(fields)
+    return validate_params(params)

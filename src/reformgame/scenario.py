@@ -419,13 +419,15 @@ def ingest_case_table(path: str | Path) -> tuple[BancarizationSeries, ...]:
     Computes the banked rate for each row with half-up rounding to one
     decimal. A leading UTF-8 byte order mark is skipped. Malformed rows,
     zero totals, and counts exceeding the total are rejected with their row
-    number; a file that is not UTF-8, with its path.
+    number; a file that is not UTF-8, with its path and the bad byte's
+    offset in the file.
     """
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8-sig")
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CaseTableError(f"{path}: not valid UTF-8 ({exc})") from exc
+    text = text.removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)

@@ -7,12 +7,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .equilibrium import closed_form_threshold, solve_fixed_point
+from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL, _fixed_point, closed_form_threshold
 from .model import (
     PARAM_RANGES,
     DomainError,
     ModelParams,
     ParameterError,
+    _params_from_fields,
     success_probability,
 )
 
@@ -73,10 +74,14 @@ def monotonicity_check(
     constant (all pairwise differences within tol), or non-monotone.
 
     The classification is strict: a tie inside an otherwise rising or
-    falling sequence counts as non-monotone. A singleton is constant.
+    falling sequence counts as non-monotone. A singleton is constant. A NaN
+    anywhere is rejected with its index.
     """
     if len(series) == 0:
         raise DomainError("cannot classify an empty series")
+    for index, value in enumerate(series):
+        if value != value:
+            raise DomainError(f"cannot classify a series with NaN at index {index}")
     signs = set()
     for prev, cur in zip(series, series[1:]):
         if cur - prev > tol:
@@ -98,13 +103,15 @@ def _point_builder(base: ModelParams, parameter_name: str) -> Callable[[float], 
     """Build parameter sets that differ from ``base`` in one field only.
 
     The base's fields are copied once; each call sets the varied field and
-    constructs a ``ModelParams``, whose ``__post_init__`` validates it.
+    builds the point with ``model._params_from_fields``: equal to
+    ``ModelParams(**fields)`` and validated once, by the same
+    ``validate_params``, without the dataclass ``__init__``.
     """
     fields = dict(vars(base))
 
     def build(value: float) -> ModelParams:
         fields[parameter_name] = value
-        return ModelParams(**fields)
+        return _params_from_fields(fields)
 
     return build
 
@@ -117,6 +124,11 @@ def grid_sweep(
     Grid points whose parameter set fails validation are skipped and
     reported; a grid with no valid point at all is an error. The
     monotonicity verdict applies to kappa_star over the retained points.
+
+    Each point is validated once and solved by the solver's kernel at the
+    default tolerance: its numbers are those of ``solve_fixed_point``, but
+    the ``EquilibriumResult`` and closed-form gap a point would drop are
+    never built.
     """
     if parameter_name not in SWEEPABLE_PARAMETERS:
         raise DomainError(
@@ -139,11 +151,9 @@ def grid_sweep(
         except ParameterError as exc:
             skipped.append((value, str(exc)))
             continue
-        eq = solve_fixed_point(params)
+        kappa_star, x_star, psi_star = _fixed_point(params, DEFAULT_TOL, DEFAULT_MAX_ITER)[:3]
         kept.append(value)
-        points.append(
-            SweepPoint(kappa_star=eq.kappa_star, x_star=eq.x_star, psi_star=eq.psi_star)
-        )
+        points.append(SweepPoint(kappa_star=kappa_star, x_star=x_star, psi_star=psi_star))
     if not kept:
         raise ParameterError(
             "sweep_grid",
@@ -221,8 +231,8 @@ def finite_difference_sensitivity(
     """
     if parameter_name not in SWEEPABLE_PARAMETERS:
         raise DomainError(f"unknown sensitivity parameter {parameter_name!r}")
-    if h <= 0.0:
-        raise DomainError(f"step h must be > 0, got {h}")
+    if not 0.0 < h < math.inf:  # NaN fails too
+        raise DomainError(f"step h must be finite and > 0, got {h}")
 
     center = float(getattr(base, parameter_name))
     build = _point_builder(base, parameter_name)

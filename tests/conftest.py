@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import reformgame.model
 from reformgame import (
     LeaderType,
     ModelParams,
@@ -98,14 +97,15 @@ def baseline() -> ModelParams:
     return BASELINE
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Record every call of ``reformgame.model.<name>``, through any module
-    that binds it, and return the list of the calls' first arguments."""
+def count_calls(monkeypatch, name: str, owner: str = "model") -> list:
+    """Record every call of ``reformgame.<owner>.<name>`` (a function or a
+    class), through any module that binds it, and return the list of the
+    calls' ``(args, kwargs)``."""
     calls = []
-    real = getattr(reformgame.model, name)
+    real = getattr(sys.modules[f"reformgame.{owner}"], name)
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        calls.append((args, kwargs))
         return real(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):

@@ -233,12 +233,12 @@ class TestCaseData:
         assert run(["case-data", "--scenario", bundled_path("bancarization.json")]) == 0
         assert bom_stdout == capsys.readouterr().out
         # Past the mark, a byte that is not UTF-8 still exits 2; its position
-        # counts from the byte after the mark.
+        # is its offset in the file, the mark's three bytes included.
         table.write_bytes(b"\xef\xbb\xbfyear,banked_count,total_active\n2011,\xff,3\n")
         assert run(["case-data", "--scenario", scenario]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {table}: not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
-            "in position 36: invalid start byte)"
+            "in position 39: invalid start byte)"
         ]
 
 

@@ -210,6 +210,8 @@ class TestSolveFixedPoint:
     def test_bad_solver_settings(self):
         with pytest.raises(DomainError):
             solve_fixed_point(make_params(), tol=0.0)
+        with pytest.raises(DomainError, match="^tolerance must be > 0, got nan$"):
+            solve_fixed_point(make_params(), tol=math.nan)
         with pytest.raises(DomainError):
             solve_fixed_point(make_params(), max_iter=0)
 

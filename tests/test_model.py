@@ -12,6 +12,7 @@ from reformgame import (
     ModelParams,
     ParameterError,
     PosteriorConvention,
+    ThresholdConvention,
     WorldState,
     bundled_path,
     equilibrium_report,
@@ -28,6 +29,7 @@ from reformgame import (
     success_probability,
     validate_params,
 )
+from reformgame.model import PARAM_RANGES, _params_from_fields
 
 from conftest import BASELINE, count_calls, make_params
 
@@ -349,6 +351,51 @@ class TestValidOnConstruction:
         assert run_command(argv) == 0
         capsys.readouterr()
         assert len(validations) == 1
+
+
+@st.composite
+def field_dicts(draw):
+    """Every ModelParams field, valid or not: up to four numeric fields are
+    redrawn from their range or from any float, the enums at random."""
+    values = dict(vars(BASELINE))
+    for name in draw(st.lists(st.sampled_from(NUMERIC_FIELDS), max_size=4, unique=True)):
+        lo, hi, _ = PARAM_RANGES[name]
+        values[name] = draw(st.floats(lo, hi) | st.floats())
+    values["leader_type"] = draw(st.sampled_from(LeaderType))
+    values["threshold_convention"] = draw(st.sampled_from(ThresholdConvention))
+    values["posterior_convention"] = draw(st.sampled_from(PosteriorConvention))
+    return values
+
+
+class TestParamsFromFields:
+    @given(values=field_dicts())
+    @settings(max_examples=400, deadline=None)
+    def test_same_as_the_constructor(self, values):
+        try:
+            expected = ModelParams(**values)
+        except ParameterError as exc:
+            with pytest.raises(ParameterError) as err:
+                _params_from_fields(values)
+            assert type(err.value) is type(exc)
+            assert err.value.constraint == exc.constraint
+            assert str(err.value) == str(exc)
+            return
+        built = _params_from_fields(values)
+        assert built == expected
+        assert hash(built) == hash(expected)
+        assert repr(built) == repr(expected)
+        assert vars(built) == vars(expected)
+
+    def test_later_changes_to_the_dict_do_not_leak(self):
+        values = dict(vars(BASELINE))
+        built = _params_from_fields(values)
+        values["theta"] = 0.9
+        assert built == BASELINE
+
+    def test_instances_keep_a_dict(self):
+        # The sweep builder copies vars(base) and fills a fresh instance's dict.
+        assert "__slots__" not in vars(ModelParams)
+        assert list(vars(BASELINE)) == [f.name for f in fields(ModelParams)]
 
 
 class TestGainAllocation:

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from reformgame import (
@@ -11,10 +13,12 @@ from reformgame import (
     finite_difference_sensitivity,
     grid_sweep,
     monotonicity_check,
+    solve_fixed_point,
     success_response_series,
 )
+from reformgame.sweep import SWEEPABLE_PARAMETERS
 
-from conftest import count_calls, make_params
+from conftest import count_calls, make_params, random_valid_params
 
 
 class TestMonotonicityCheck:
@@ -39,6 +43,15 @@ class TestMonotonicityCheck:
     def test_empty_series_rejected(self):
         with pytest.raises(DomainError):
             monotonicity_check([])
+
+    @pytest.mark.parametrize("series,index", [
+        ([1.0, math.nan, 2.0], 1),
+        ([math.nan], 0),
+        ([3.0, 2.0, math.nan], 2),
+    ])
+    def test_nan_rejected_with_its_index(self, series, index):
+        with pytest.raises(DomainError, match=f"NaN at index {index}$"):
+            monotonicity_check(series)
 
 
 class TestGridSweep:
@@ -91,6 +104,34 @@ class TestGridSweep:
         series = grid_sweep(make_params(), "theta", [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
         assert len(series.values) == 6
         assert efforts == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_points_equal_the_solver_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        for name in SWEEPABLE_PARAMETERS:
+            base = random_valid_params(rng)
+            center = getattr(base, name)
+            # Around the base value, crossing a validity bound for most fields.
+            grid = sorted({center + d for d in (-0.5, -0.01, 0.0, 0.01, 0.5, 50.0)})
+            series = grid_sweep(base, name, grid)
+            assert center in series.values
+            for value, point in zip(series.values, series.outputs):
+                eq = solve_fixed_point(replace(base, **{name: value}))
+                got = (point.kappa_star, point.x_star, point.psi_star)
+                assert [v.hex() for v in got] == [
+                    v.hex() for v in (eq.kappa_star, eq.x_star, eq.psi_star)]
+
+    def test_one_validation_and_no_result_record_per_point(self, monkeypatch):
+        base = make_params()
+        validations = count_calls(monkeypatch, "validate_params")
+        results = count_calls(monkeypatch, "EquilibriumResult", owner="equilibrium")
+        grid = [-0.5, -0.1, 0.0, 0.3, 0.7, 1.0, 1.2]  # three points out of range
+        series = grid_sweep(base, "theta", grid)
+        assert (len(series.values), len(series.skipped)) == (4, 3)
+        assert len(validations) == len(grid)
+        assert results == []
+        solve_fixed_point(base)  # the counter sees a solve's record
+        assert len(results) == 1
 
     def test_outputs_align_with_values(self):
         series = grid_sweep(make_params(), "gamma", [0.2, 0.5, 0.8])
@@ -174,6 +215,13 @@ class TestFiniteDifferenceSensitivity:
     def test_step_must_be_positive(self):
         with pytest.raises(DomainError):
             finite_difference_sensitivity(make_params(), "theta", h=0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_step_must_be_finite(self, h):
+        with pytest.raises(DomainError) as err:
+            finite_difference_sensitivity(make_params(), "theta", h=h)
+        assert type(err.value) is DomainError
+        assert str(err.value) == f"step h must be finite and > 0, got {h}"
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(DomainError):
