@@ -216,8 +216,9 @@ def solve_fixed_point(
     ``tol`` (relative to the threshold once it exceeds 1, where the float
     spacing itself can exceed an absolute ``tol``) and stops shrinking. The
     result is therefore a checked fixed point of the map, reached in a few
-    polish steps for every valid parameter set; ``max_iter`` caps those
-    steps. ``tol`` must be a number above 0 (NaN is rejected).
+    polish steps for every valid parameter set; ``max_iter``, an integer
+    >= 1, caps those steps. ``tol`` must be a number above 0 (NaN is
+    rejected).
 
     The iteration lives in the private kernel ``_fixed_point``, which
     ``grid_sweep`` calls directly; this function checks the settings, adds
@@ -225,8 +226,9 @@ def solve_fixed_point(
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    # An integer type is one with __index__ (int, numpy's); NaN, 2.5 and inf fail.
+    if not (hasattr(type(max_iter), "__index__") and max_iter >= 1):
+        raise DomainError(f"max_iter must be an integer >= 1, got {max_iter}")
 
     kappa, x_star, psi_star, gain, iterations, residual = _fixed_point(params, tol, max_iter)
     gap = abs(kappa - closed_form_threshold(params, params.threshold_convention))

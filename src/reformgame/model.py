@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 __all__ = [
     "DomainError",
@@ -34,6 +35,7 @@ __all__ = [
     "CostReport",
     "GAIN_ALLOCATION",
     "PARAM_RANGES",
+    "RELATIONAL_CHECKS",
     "gain_allocation",
     "success_probability",
     "info_acquisition_cost",
@@ -72,6 +74,67 @@ PARAM_RANGES: dict[str, tuple[float, float, str]] = {
     "w": (0.0, _FLOAT_MAX, "must be >= 0"),
     "G2": (0.0, _FLOAT_MAX, "must be >= 0"),
     "G3": (0.0, _FLOAT_MAX, "must be >= 0"),
+}
+
+
+def _range_error(name: str, value: float) -> ParameterError:
+    """The ``field_range`` error for a value outside its PARAM_RANGES row."""
+    rule = PARAM_RANGES[name][2]
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        rule = "must be a finite number"
+    return ParameterError("field_range", f"{name} {rule}, got {value}")
+
+
+def _leader_gain_profile(params: ModelParams) -> None:
+    if params.leader_type is LeaderType.NON_PARTISAN:
+        if params.G2 != 0.0 or not params.G3 > 0.0:
+            raise ParameterError(
+                "leader_gain_profile",
+                f"a non-partisan policy maker requires G2 = 0 and G3 > 0, "
+                f"got G2 = {params.G2}, G3 = {params.G3}",
+            )
+    elif not (params.G2 > 0.0 and params.G3 > 0.0):
+        raise ParameterError(
+            "leader_gain_profile",
+            f"a partisan policy maker requires G2 > 0 and G3 > 0, "
+            f"got G2 = {params.G2}, G3 = {params.G3}",
+        )
+
+
+def _participant_gain_bound(params: ModelParams) -> None:
+    # Tested as a product, associated as the solver forms it, so that
+    # kappa_max - a*gamma*Gamma_eff stays positive in floating point.
+    product = params.a * params.gamma * params.Gamma_gain
+    if not product < params.kappa_max:
+        raise ParameterError(
+            "participant_gain_bound",
+            f"a*gamma*Gamma_gain must be < kappa_max = {params.kappa_max}, "
+            f"got {product} (Gamma_gain = {params.Gamma_gain})",
+        )
+
+
+def _reformer_gain_bound(params: ModelParams) -> None:
+    if params.p1 < 1.0:
+        reformer_bound = params.q / ((1.0 - params.p1) * params.a * params.gamma)
+        for name, gain in (("G2", params.G2), ("G3", params.G3)):
+            if gain > 0.0 and not gain < reformer_bound:
+                raise ParameterError(
+                    "reformer_gain_bound",
+                    f"{name} must be < q/((1-p1)*a*gamma) = {reformer_bound}, "
+                    f"got {gain}",
+                )
+
+
+# The checks that relate several fields, keyed by the constraint each one
+# raises, in the order validate_params runs them after the ranges, with
+# every field each one reads. A parameter set that differs from a valid one
+# in a single field can fail only that field's range or a row reading it.
+RELATIONAL_CHECKS: dict[str, tuple[Callable[[ModelParams], None], tuple[str, ...]]] = {
+    "leader_gain_profile": (_leader_gain_profile, ("leader_type", "G2", "G3")),
+    "participant_gain_bound": (
+        _participant_gain_bound, ("a", "gamma", "Gamma_gain", "kappa_max")),
+    "reformer_gain_bound": (
+        _reformer_gain_bound, ("q", "p1", "a", "gamma", "G2", "G3")),
 }
 
 
@@ -184,7 +247,8 @@ class ModelParams:
 
     Construction (``dataclasses.replace`` too) calls :func:`validate_params`.
     Instances keep a ``__dict__`` (no ``slots``): sweeps copy it and build
-    their points through it.
+    their points through it, validating only what the varied field can
+    break.
     """
 
     a: float
@@ -310,68 +374,23 @@ def optimal_info_effort(params: ModelParams, state: WorldState) -> float:
 def validate_params(params: ModelParams) -> ModelParams:
     """Check every model invariant and return the parameters unchanged.
 
-    Raises :class:`ParameterError` with a distinct ``constraint`` name for:
-    a field outside its range in :data:`PARAM_RANGES`, NaN and infinities
-    included (``field_range``), a leader type inconsistent with its gain
-    profile (``leader_gain_profile``), a participant gain too large for
-    partial participation (``participant_gain_bound``), and a policy-maker
-    gain breaking the interior information-effort solution
-    (``reformer_gain_bound``). Comparisons are exact; the bounds are strict.
-    Constructing a :class:`ModelParams` calls this.
+    Walks every row of :data:`PARAM_RANGES`, then every row of
+    :data:`RELATIONAL_CHECKS`, in table order, and raises the first failure
+    as a :class:`ParameterError` with a distinct ``constraint`` name: a field
+    outside its range, NaN and infinities included (``field_range``), a
+    leader type inconsistent with its gain profile (``leader_gain_profile``),
+    a participant gain too large for partial participation
+    (``participant_gain_bound``), and a policy-maker gain breaking the
+    interior information-effort solution (``reformer_gain_bound``).
+    Comparisons are exact; the bounds are strict. Constructing a
+    :class:`ModelParams` calls this; a sweep point, which differs from a
+    valid base in one field, runs only that field's range and the table rows
+    that read it.
     """
-    for name, (lo, hi, rule) in PARAM_RANGES.items():
+    for name, (lo, hi, _) in PARAM_RANGES.items():
         value = getattr(params, name)
         if not lo <= value <= hi:
-            if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-                rule = "must be a finite number"
-            raise ParameterError("field_range", f"{name} {rule}, got {value}")
-
-    if params.leader_type is LeaderType.NON_PARTISAN:
-        if params.G2 != 0.0 or not params.G3 > 0.0:
-            raise ParameterError(
-                "leader_gain_profile",
-                f"a non-partisan policy maker requires G2 = 0 and G3 > 0, "
-                f"got G2 = {params.G2}, G3 = {params.G3}",
-            )
-    else:
-        if not (params.G2 > 0.0 and params.G3 > 0.0):
-            raise ParameterError(
-                "leader_gain_profile",
-                f"a partisan policy maker requires G2 > 0 and G3 > 0, "
-                f"got G2 = {params.G2}, G3 = {params.G3}",
-            )
-
-    # Tested as a product, associated as the solver forms it, so that
-    # kappa_max - a*gamma*Gamma_eff stays positive in floating point.
-    product = params.a * params.gamma * params.Gamma_gain
-    if not product < params.kappa_max:
-        raise ParameterError(
-            "participant_gain_bound",
-            f"a*gamma*Gamma_gain must be < kappa_max = {params.kappa_max}, "
-            f"got {product} (Gamma_gain = {params.Gamma_gain})",
-        )
-
-    if params.p1 < 1.0:
-        reformer_bound = params.q / ((1.0 - params.p1) * params.a * params.gamma)
-        for name, gain in (("G2", params.G2), ("G3", params.G3)):
-            if gain > 0.0 and not gain < reformer_bound:
-                raise ParameterError(
-                    "reformer_gain_bound",
-                    f"{name} must be < q/((1-p1)*a*gamma) = {reformer_bound}, "
-                    f"got {gain}",
-                )
-
+            raise _range_error(name, value)
+    for check, _ in RELATIONAL_CHECKS.values():
+        check(params)
     return params
-
-
-def _params_from_fields(fields: dict) -> ModelParams:
-    """Build and validate a ModelParams from a dict of every one of its fields.
-
-    Equal to ``ModelParams(**fields)``, with the same hash and repr, and
-    raising exactly what it raises; it skips the generated ``__init__``,
-    which only assigns the fields one ``object.__setattr__`` at a time. The
-    dict is copied, so the caller may change it afterwards.
-    """
-    params = object.__new__(ModelParams)
-    params.__dict__.update(fields)
-    return validate_params(params)

@@ -10,10 +10,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL, _fixed_point, closed_form_threshold
 from .model import (
     PARAM_RANGES,
+    RELATIONAL_CHECKS,
     DomainError,
     ModelParams,
     ParameterError,
-    _params_from_fields,
+    _range_error,
     success_probability,
 )
 
@@ -102,16 +103,27 @@ def monotonicity_check(
 def _point_builder(base: ModelParams, parameter_name: str) -> Callable[[float], ModelParams]:
     """Build parameter sets that differ from ``base`` in one field only.
 
-    The base's fields are copied once; each call sets the varied field and
-    builds the point with ``model._params_from_fields``: equal to
-    ``ModelParams(**fields)`` and validated once, by the same
-    ``validate_params``, without the dataclass ``__init__``.
+    Each call checks the value against the field's :data:`PARAM_RANGES` row,
+    fills a fresh instance's ``__dict__`` from a copy of the base's fields
+    (the dataclass ``__init__`` only assigns them one at a time), then runs
+    the :data:`RELATIONAL_CHECKS` rows that read the field, in table order.
+    Every other check reads only the base's values, which passed, so the
+    result equals ``ModelParams(**fields)``, with the same hash and repr, or
+    raises exactly what it raises, message included.
     """
     fields = dict(vars(base))
+    lo, hi, _ = PARAM_RANGES[parameter_name]
+    checks = [check for check, reads in RELATIONAL_CHECKS.values() if parameter_name in reads]
 
     def build(value: float) -> ModelParams:
+        if not lo <= value <= hi:
+            raise _range_error(parameter_name, value)
         fields[parameter_name] = value
-        return _params_from_fields(fields)
+        params = object.__new__(ModelParams)
+        params.__dict__.update(fields)
+        for check in checks:
+            check(params)
+        return params
 
     return build
 
@@ -125,10 +137,12 @@ def grid_sweep(
     reported; a grid with no valid point at all is an error. The
     monotonicity verdict applies to kappa_star over the retained points.
 
-    Each point is validated once and solved by the solver's kernel at the
-    default tolerance: its numbers are those of ``solve_fixed_point``, but
-    the ``EquilibriumResult`` and closed-form gap a point would drop are
-    never built.
+    Each point runs only the checks its varied field can break (see
+    ``_point_builder``) and is solved by the solver's kernel at the default
+    tolerance: its numbers are those of ``solve_fixed_point``, but the
+    ``EquilibriumResult`` and closed-form gap a point would drop are never
+    built, and each ``SweepPoint`` is filled in without the dataclass
+    ``__init__``.
     """
     if parameter_name not in SWEEPABLE_PARAMETERS:
         raise DomainError(
@@ -152,8 +166,10 @@ def grid_sweep(
             skipped.append((value, str(exc)))
             continue
         kappa_star, x_star, psi_star = _fixed_point(params, DEFAULT_TOL, DEFAULT_MAX_ITER)[:3]
+        point = object.__new__(SweepPoint)
+        point.__dict__.update(kappa_star=kappa_star, x_star=x_star, psi_star=psi_star)
         kept.append(value)
-        points.append(SweepPoint(kappa_star=kappa_star, x_star=x_star, psi_star=psi_star))
+        points.append(point)
     if not kept:
         raise ParameterError(
             "sweep_grid",

@@ -14,6 +14,7 @@ from reformgame import (
     PosteriorConvention,
     ThresholdConvention,
 )
+from reformgame.model import RELATIONAL_CHECKS
 
 # Canonical parameter set used across the suite; its equilibrium has the
 # closed form kappa* = 0.2 / (1/(0.5*0.8*1) - 0.8) = 2/17.
@@ -111,6 +112,20 @@ def count_calls(monkeypatch, name: str, owner: str = "model") -> list:
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("reformgame") and hasattr(module, name):
             monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def count_checks(monkeypatch) -> dict[str, list]:
+    """Record every run of each ``RELATIONAL_CHECKS`` row, by constraint name:
+    the table is shared, so ``validate_params`` and the sweep builder both see
+    the counting rows."""
+    calls = {}
+    for name, (check, reads) in list(RELATIONAL_CHECKS.items()):
+        def counting(params, check=check, seen=calls.setdefault(name, [])):
+            seen.append(params)
+            check(params)
+
+        monkeypatch.setitem(RELATIONAL_CHECKS, name, (counting, reads))
     return calls
 
 

@@ -215,6 +215,18 @@ class TestSolveFixedPoint:
         with pytest.raises(DomainError):
             solve_fixed_point(make_params(), max_iter=0)
 
+    @pytest.mark.parametrize("max_iter", [math.nan, 2.5, math.inf, 0, -1, 1.0])
+    def test_max_iter_must_be_an_integer_from_one(self, max_iter):
+        with pytest.raises(DomainError) as err:
+            solve_fixed_point(make_params(), max_iter=max_iter)
+        assert type(err.value) is DomainError
+        assert str(err.value) == f"max_iter must be an integer >= 1, got {max_iter}"
+
+    def test_max_iter_accepts_any_integer_type(self):
+        expected = solve_fixed_point(make_params())
+        assert solve_fixed_point(make_params(), max_iter=np.int64(3)) == expected
+        assert equilibrium_report(make_params(), max_iter=2).equilibrium == expected
+
 
 class TestParticipationFraction:
     def test_floor_and_ceiling(self):

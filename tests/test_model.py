@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from reformgame import (
     ModelParams,
     ParameterError,
     PosteriorConvention,
-    ThresholdConvention,
     WorldState,
     bundled_path,
     equilibrium_report,
@@ -29,9 +29,9 @@ from reformgame import (
     success_probability,
     validate_params,
 )
-from reformgame.model import PARAM_RANGES, _params_from_fields
+from reformgame.model import RELATIONAL_CHECKS
 
-from conftest import BASELINE, count_calls, make_params
+from conftest import BASELINE, count_calls, count_checks, make_params, random_valid_params
 
 NUMERIC_FIELDS = [f.name for f in fields(ModelParams) if f.type == "float"]
 
@@ -320,6 +320,28 @@ class TestValidateParams:
         # With p1 = 1 no change state occurs and the reformer bound is vacuous.
         validate_params(make_params(p1=1.0, G3=100.0, Gamma_gain=1.0))
 
+    def test_relational_checks_read_exactly_their_fields(self):
+        # A sweep point runs only the rows whose field list names its varied
+        # field, so each list must cover every field its check reads.
+        class Recorder:
+            def __init__(self, params):
+                self.params, self.read = params, set()
+
+            def __getattr__(self, name):
+                self.read.add(name)
+                return getattr(self.params, name)
+
+        rng = np.random.default_rng(5)
+        bases = [random_valid_params(rng, leader_type=leader)
+                 for leader in LeaderType for _ in range(20)]
+        for name, (check, reads) in RELATIONAL_CHECKS.items():
+            seen = set()
+            for base in bases:
+                recorder = Recorder(base)
+                check(recorder)
+                seen |= recorder.read
+            assert seen == set(reads), name
+
 
 class TestValidOnConstruction:
     def test_replace_checks_the_gain_bound(self):
@@ -332,11 +354,24 @@ class TestValidOnConstruction:
         """Every validate_params call, through any module that binds it."""
         return count_calls(monkeypatch, "validate_params")
 
-    def test_one_validation_per_sweep_point(self, validations):
+    def test_one_validation_per_sweep_point(self, validations, monkeypatch):
+        # A point is checked against its field's range and the relational
+        # checks that read the field, not by a full validate_params; no
+        # relational check reads theta.
+        checks = count_checks(monkeypatch)
         grid = [-0.1, 0.0, 0.2, 0.5, 1.0, 1.5]  # two points out of range
         series = grid_sweep(BASELINE, "theta", grid)
         assert len(series.values) + len(series.skipped) == len(grid)
-        assert len(validations) == len(grid)
+        assert [value for value, _ in series.skipped] == [-0.1, 1.5]
+        assert validations == []
+        assert checks == {name: [] for name in RELATIONAL_CHECKS}
+
+    def test_construction_runs_every_relational_check_once(self, monkeypatch):
+        checks = count_checks(monkeypatch)
+        params = replace(BASELINE, theta=0.3)
+        assert {name: len(calls) for name, calls in checks.items()} == {
+            "leader_gain_profile": 1, "participant_gain_bound": 1, "reformer_gain_bound": 1}
+        assert all(calls == [params] for calls in checks.values())
 
     def test_built_params_are_not_revalidated(self, validations):
         solve_fixed_point(BASELINE)
@@ -351,51 +386,6 @@ class TestValidOnConstruction:
         assert run_command(argv) == 0
         capsys.readouterr()
         assert len(validations) == 1
-
-
-@st.composite
-def field_dicts(draw):
-    """Every ModelParams field, valid or not: up to four numeric fields are
-    redrawn from their range or from any float, the enums at random."""
-    values = dict(vars(BASELINE))
-    for name in draw(st.lists(st.sampled_from(NUMERIC_FIELDS), max_size=4, unique=True)):
-        lo, hi, _ = PARAM_RANGES[name]
-        values[name] = draw(st.floats(lo, hi) | st.floats())
-    values["leader_type"] = draw(st.sampled_from(LeaderType))
-    values["threshold_convention"] = draw(st.sampled_from(ThresholdConvention))
-    values["posterior_convention"] = draw(st.sampled_from(PosteriorConvention))
-    return values
-
-
-class TestParamsFromFields:
-    @given(values=field_dicts())
-    @settings(max_examples=400, deadline=None)
-    def test_same_as_the_constructor(self, values):
-        try:
-            expected = ModelParams(**values)
-        except ParameterError as exc:
-            with pytest.raises(ParameterError) as err:
-                _params_from_fields(values)
-            assert type(err.value) is type(exc)
-            assert err.value.constraint == exc.constraint
-            assert str(err.value) == str(exc)
-            return
-        built = _params_from_fields(values)
-        assert built == expected
-        assert hash(built) == hash(expected)
-        assert repr(built) == repr(expected)
-        assert vars(built) == vars(expected)
-
-    def test_later_changes_to_the_dict_do_not_leak(self):
-        values = dict(vars(BASELINE))
-        built = _params_from_fields(values)
-        values["theta"] = 0.9
-        assert built == BASELINE
-
-    def test_instances_keep_a_dict(self):
-        # The sweep builder copies vars(base) and fills a fresh instance's dict.
-        assert "__slots__" not in vars(ModelParams)
-        assert list(vars(BASELINE)) == [f.name for f in fields(ModelParams)]
 
 
 class TestGainAllocation:

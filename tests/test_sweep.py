@@ -1,11 +1,16 @@
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reformgame import (
     DomainError,
+    LeaderType,
+    ModelParams,
     Monotonicity,
     ParameterError,
     ThresholdConvention,
@@ -16,9 +21,22 @@ from reformgame import (
     solve_fixed_point,
     success_response_series,
 )
-from reformgame.sweep import SWEEPABLE_PARAMETERS
+from reformgame.model import PARAM_RANGES, RELATIONAL_CHECKS
+from reformgame.sweep import SWEEPABLE_PARAMETERS, SweepPoint, _point_builder
 
-from conftest import count_calls, make_params, random_valid_params
+from conftest import (
+    BASELINE,
+    count_calls,
+    count_checks,
+    make_params,
+    random_valid_params,
+)
+
+# Near both gain bounds: a*gamma*Gamma_gain = 0.88 against kappa_max = 1, and
+# G3 = 3 against q/((1-p1)*a*gamma) = 3.57, so grids over a, gamma, p1, q,
+# kappa_max, Gamma_gain and the gains cross a relational bound.
+TIGHT = make_params(Gamma_gain=2.2, G3=3.0)
+TIGHT_PARTISAN = make_params(Gamma_gain=2.2, G3=3.0, G2=2.0, leader_type=LeaderType.PARTISAN)
 
 
 class TestMonotonicityCheck:
@@ -122,16 +140,70 @@ class TestGridSweep:
                     v.hex() for v in (eq.kappa_star, eq.x_star, eq.psi_star)]
 
     def test_one_validation_and_no_result_record_per_point(self, monkeypatch):
+        # A point runs its field's range check and only the relational
+        # checks that read the field: none for theta, and only the
+        # participant gain bound, once per in-range value, for Gamma_gain.
         base = make_params()
         validations = count_calls(monkeypatch, "validate_params")
         results = count_calls(monkeypatch, "EquilibriumResult", owner="equilibrium")
+        checks = count_checks(monkeypatch)
         grid = [-0.5, -0.1, 0.0, 0.3, 0.7, 1.0, 1.2]  # three points out of range
         series = grid_sweep(base, "theta", grid)
         assert (len(series.values), len(series.skipped)) == (4, 3)
-        assert len(validations) == len(grid)
+        assert checks == {name: [] for name in RELATIONAL_CHECKS}
+
+        grid = [-1.0, 0.0, 1.0, 2.0, 2.4, 2.6, 3.0, math.inf]  # the bound is 2.5
+        series = grid_sweep(base, "Gamma_gain", grid)
+        assert series.values == (1.0, 2.0, 2.4)
+        assert [value for value, _ in series.skipped] == [-1.0, 0.0, 2.6, 3.0, math.inf]
+        in_range = [1.0, 2.0, 2.4, 2.6, 3.0]
+        assert [p.Gamma_gain for p in checks["participant_gain_bound"]] == in_range
+        assert checks["leader_gain_profile"] == checks["reformer_gain_bound"] == []
+
+        assert validations == []
         assert results == []
         solve_fixed_point(base)  # the counter sees a solve's record
         assert len(results) == 1
+
+    @pytest.mark.parametrize("base", [TIGHT, TIGHT_PARTISAN], ids=["non-partisan", "partisan"])
+    def test_same_as_a_loop_of_constructor_and_solver(self, base):
+        seen = set()
+        for name in SWEEPABLE_PARAMETERS:
+            lo, hi, _ = PARAM_RANGES[name]
+            grid = sorted({-math.inf, -1.0, lo, *(i / 100 for i in range(101)),
+                           1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 10.0, 1e6, hi, math.inf})
+            values, outputs, skipped = [], [], []
+            for value in grid:
+                try:
+                    params = ModelParams(**{**vars(base), name: value})
+                except ParameterError as exc:
+                    skipped.append((value, str(exc)))
+                    continue
+                eq = solve_fixed_point(params)
+                values.append(value)
+                outputs.append(tuple(v.hex() for v in (eq.kappa_star, eq.x_star, eq.psi_star)))
+            series = grid_sweep(base, name, grid)
+            assert series.values == tuple(values), name
+            assert [tuple(getattr(p, f.name).hex() for f in fields(SweepPoint))
+                    for p in series.outputs] == outputs, name
+            assert series.skipped == tuple(skipped), name
+            assert skipped[-1][1] == f"field_range: {name} must be a finite number, got inf"
+            # Each grid crosses a relational bound when a check reads the field.
+            hit = {reason.split(":")[0] for _, reason in skipped} - {"field_range"}
+            assert bool(hit) == any(name in reads for _, reads in RELATIONAL_CHECKS.values())
+            seen |= hit
+        assert seen == set(RELATIONAL_CHECKS)
+
+    def test_points_equal_constructed_ones(self):
+        series = grid_sweep(make_params(), "theta", [0.0, 0.2, 1.0])
+        for point in series.outputs:
+            made = SweepPoint(
+                kappa_star=point.kappa_star, x_star=point.x_star, psi_star=point.psi_star)
+            assert point == made
+            assert hash(point) == hash(made)
+            assert repr(point) == repr(made)
+            assert pickle.dumps(point) == pickle.dumps(made)
+            assert pickle.loads(pickle.dumps(point)) == made
 
     def test_outputs_align_with_values(self):
         series = grid_sweep(make_params(), "gamma", [0.2, 0.5, 0.8])
@@ -139,6 +211,58 @@ class TestGridSweep:
         for value, point in zip(series.values, series.outputs):
             expected = closed_form_threshold(make_params(gamma=value))
             assert point.kappa_star == pytest.approx(expected, abs=1e-10)
+
+
+def _sweep_values(lo: float, hi: float, center: float):
+    """Values for one field: in range, anywhere, +-inf, NaN, and multiples of
+    the base value, which cross the relational bounds of the random bases."""
+    return (st.floats(lo, hi) | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])
+            | st.floats(0.0, 3.0).map(lambda f: f * center))
+
+
+@st.composite
+def sweep_points(draw):
+    base = random_valid_params(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    name = draw(st.sampled_from(SWEEPABLE_PARAMETERS))
+    lo, hi, _ = PARAM_RANGES[name]
+    return base, name, draw(_sweep_values(lo, hi, getattr(base, name)))
+
+
+class TestPointBuilder:
+    @given(case=sweep_points())
+    @settings(max_examples=600, deadline=None)
+    def test_same_as_the_constructor(self, case):
+        base, name, value = case
+        build = _point_builder(base, name)
+        try:
+            expected = ModelParams(**{**vars(base), name: value})
+        except Exception as exc:
+            with pytest.raises(Exception) as err:
+                build(value)
+            assert type(err.value) is type(exc)
+            assert err.value.constraint == exc.constraint
+            assert str(err.value) == str(exc)
+            return
+        built = build(value)
+        assert built == expected
+        assert hash(built) == hash(expected)
+        assert repr(built) == repr(expected)
+        assert vars(built) == vars(expected)
+
+    def test_later_changes_to_the_dict_do_not_leak(self):
+        # The builder reuses one dict of fields; each point keeps its own.
+        build = _point_builder(BASELINE, "theta")
+        first = build(0.2)
+        build(0.9)
+        with pytest.raises(ParameterError):
+            build(1.5)
+        assert first == BASELINE
+        assert vars(first) == vars(BASELINE)
+
+    def test_instances_keep_a_dict(self):
+        # The builder copies vars(base) and fills a fresh instance's dict.
+        assert "__slots__" not in vars(ModelParams)
+        assert list(vars(BASELINE)) == [f.name for f in fields(ModelParams)]
 
 
 class TestSuccessResponseSeries:
