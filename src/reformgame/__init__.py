@@ -17,10 +17,8 @@ from .model import (
     ModelParams,
     ParameterError,
     PosteriorConvention,
-    StateGainAllocation,
     ThresholdConvention,
     WorldState,
-    gain_allocation,
     info_acquisition_cost,
     optimal_info_effort,
     partisan_participation_cost,

@@ -32,12 +32,12 @@ from dataclasses import dataclass
 
 from .equilibrium import effective_gain, solve_fixed_point
 from .model import (
+    GAIN_ALLOCATION,
+    Beneficiary,
     DomainError,
     LeaderType,
     ModelParams,
-    StateGainAllocation,
     WorldState,
-    gain_allocation,
     optimal_info_effort,
     state_probabilities,
     success_probability,
@@ -86,7 +86,7 @@ class SimOutcome:
     called: bool
     participation_fraction: float
     success: bool
-    beneficiary: StateGainAllocation
+    beneficiary: Beneficiary
     iterations_to_converge: int
 
 
@@ -248,7 +248,7 @@ def simulate_once(
             called=False,
             participation_fraction=0.0,
             success=False,
-            beneficiary=gain_allocation(state),
+            beneficiary=GAIN_ALLOCATION[state],
             iterations_to_converge=0,
         )
 
@@ -261,7 +261,7 @@ def simulate_once(
         called=True,
         participation_fraction=x_hat,
         success=success,
-        beneficiary=gain_allocation(state),
+        beneficiary=GAIN_ALLOCATION[state],
         iterations_to_converge=rounds,
     )
 
@@ -276,17 +276,21 @@ def estimate_equilibrium(
     game with the call issued and the majority-benefiting state forced, so
     the estimate targets the analytic fixed point. Replication seeds derive
     deterministically from the master seed; results aggregate in
-    replication order.
+    replication order. A replication count numpy cannot describe or
+    allocate as an array raises ``DomainError`` naming replications.
     """
     import numpy as np
 
     if n < 1000:
         raise DomainError(f"need at least 1000 agents per replication, got {n}")
-    if replications < 2:
-        raise DomainError(f"need at least 2 replications, got {replications}")
-
-    fractions = np.empty(replications)
-    successes = np.empty(replications)
+    if not 2 <= replications <= sys.maxsize // 8:
+        raise DomainError(
+            f"replications must lie in [2, {sys.maxsize // 8}], got {replications}")
+    try:
+        fractions = np.empty(replications)
+        successes = np.empty(replications)
+    except MemoryError:
+        raise DomainError(f"replications = {replications} does not fit in memory") from None
     population = None
     for rep in range(replications):
         rep_seed = derive_seed(seed, rep)

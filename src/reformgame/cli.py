@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: solve, simulate, sweep, validate, case-data. Every run is
-driven by a scenario file; flags can override the conventions, the seed,
-and the Monte Carlo size. Human-readable summaries go to stdout, machine
-output only to --out. Exit codes: 0 success, 1 model-parameter violation,
-2 I/O or scenario-file problem, 3 solver failure.
+driven by a scenario file; each command takes only the flags it reads.
+Human-readable summaries go to stdout, machine output only to --out. Exit
+codes: 0 success, 1 model-parameter violation, 2 I/O, scenario-file or
+usage problem, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -35,48 +35,52 @@ EXIT_SOLVER = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    common.add_argument("--out", help="write machine-readable results to this path")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format for --out (default csv)")
-    common.add_argument("--seed", type=int, help="override the scenario's master seed")
-    common.add_argument(
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--scenario", required=True, help="path to a scenario JSON file")
+    files.add_argument("--out", help="write machine-readable results to this path")
+    files.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format for --out (default csv)")
+    conventions = argparse.ArgumentParser(add_help=False)
+    conventions.add_argument(
         "--convention",
         choices=tuple(c.value for c in ThresholdConvention),
         help="override the threshold convention",
     )
-    common.add_argument(
+    conventions.add_argument(
         "--posterior",
         choices=tuple(c.value for c in PosteriorConvention),
         help="override the posterior convention",
     )
+    monte_carlo = argparse.ArgumentParser(add_help=False)
+    monte_carlo.add_argument("--seed", type=int, help="override the scenario's master seed")
+    monte_carlo.add_argument("--agents", type=int, help="agents per replication")
+    monte_carlo.add_argument("--replications", type=int, help="number of replications")
 
     parser = argparse.ArgumentParser(
         prog="reformgame",
         description="Equilibrium and Monte Carlo toolkit for the reform participation game",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_text in (
-        ("solve", _cmd_solve, "solve the analytic equilibrium"),
-        ("simulate", _cmd_simulate, "Monte Carlo estimate of the equilibrium"),
-        ("sweep", _cmd_sweep, "comparative-statics grid sweep"),
-        ("validate", _cmd_validate, "validate a scenario file"),
-        ("case-data", _cmd_case_data, "ingest a banked-payroll case table"),
+    for name, handler, parents, help_text in (
+        ("solve", _cmd_solve, [files, conventions], "solve the analytic equilibrium"),
+        ("simulate", _cmd_simulate, [files, conventions, monte_carlo],
+         "Monte Carlo estimate of the equilibrium"),
+        ("sweep", _cmd_sweep, [files, conventions], "comparative-statics grid sweep"),
+        # validate writes no record; it keeps --out and --format only because
+        # perfbench/layers.py::probe_cli passes --out to it.
+        ("validate", _cmd_validate, [files], "validate a scenario file"),
+        ("case-data", _cmd_case_data, [files], "ingest a banked-payroll case table"),
     ):
-        sub.add_parser(name, parents=[common], help=help_text).set_defaults(handler=handler)
-    simulate = sub.choices["simulate"]
-    simulate.add_argument("--agents", type=int, help="agents per replication")
-    simulate.add_argument("--replications", type=int, help="number of replications")
+        sub.add_parser(name, parents=parents, help=help_text).set_defaults(handler=handler)
     return parser
 
 
 def _param_overrides(args: argparse.Namespace) -> dict[str, Any]:
     """The convention flags as ModelParams fields, applied when the scenario loads."""
     overrides: dict[str, Any] = {}
-    if args.convention:
+    if getattr(args, "convention", None):
         overrides["threshold_convention"] = ThresholdConvention(args.convention)
-    if args.posterior:
+    if getattr(args, "posterior", None):
         overrides["posterior_convention"] = PosteriorConvention(args.posterior)
     return overrides
 

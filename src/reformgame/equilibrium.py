@@ -43,7 +43,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10_000
+# Cap on the solver's polish steps; a valid parameter set needs a handful.
+MAX_ITER = 10_000
 
 
 class ConvergenceError(RuntimeError):
@@ -157,9 +158,9 @@ def closed_form_threshold(
 
 
 def _fixed_point(
-    params: ModelParams, tol: float, max_iter: int
+    params: ModelParams, tol: float
 ) -> tuple[float, float, float, float, int, float]:
-    """The solver's kernel, for callers that checked ``tol`` and ``max_iter``.
+    """The solver's kernel, for callers that checked ``tol``.
 
     Returns ``(kappa_star, x_star, psi_star, effective_gain, iterations,
     residual)``; :func:`solve_fixed_point` documents the method.
@@ -177,7 +178,7 @@ def _fixed_point(
     residual = float("inf")
     previous = float("inf")
     within_tol = False
-    while iterations < max_iter:
+    while iterations < MAX_ITER:
         nxt = seed + slope * min(kappa, params.kappa_max)
         iterations += 1
         residual = abs(nxt - kappa)
@@ -191,7 +192,7 @@ def _fixed_point(
         previous = residual
     if not within_tol:
         raise ConvergenceError(
-            f"no fixed point within {max_iter} iterations (residual {residual:.3e}, "
+            f"no fixed point within {MAX_ITER} iterations (residual {residual:.3e}, "
             f"contraction modulus L = {slope:.6g})"
         )
 
@@ -200,11 +201,7 @@ def _fixed_point(
     return kappa, x_star, psi_star, gain, iterations, residual
 
 
-def solve_fixed_point(
-    params: ModelParams,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> EquilibriumResult:
+def solve_fixed_point(params: ModelParams, tol: float = DEFAULT_TOL) -> EquilibriumResult:
     """Solve for the fixed point of the best-response map.
 
     On ``[0, kappa_max]`` the map is affine, ``kappa -> seed + L*kappa``
@@ -216,9 +213,9 @@ def solve_fixed_point(
     ``tol`` (relative to the threshold once it exceeds 1, where the float
     spacing itself can exceed an absolute ``tol``) and stops shrinking. The
     result is therefore a checked fixed point of the map, reached in a few
-    polish steps for every valid parameter set; ``max_iter``, an integer
-    >= 1, caps those steps. ``tol`` must be a number above 0 (NaN is
-    rejected).
+    polish steps for every valid parameter set; :data:`MAX_ITER` caps those
+    steps, and a run that reaches it raises :class:`ConvergenceError`.
+    ``tol`` must be a number above 0 (NaN is rejected).
 
     The iteration lives in the private kernel ``_fixed_point``, which
     ``grid_sweep`` calls directly; this function checks the settings, adds
@@ -226,11 +223,8 @@ def solve_fixed_point(
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
-    # An integer type is one with __index__ (int, numpy's); NaN, 2.5 and inf fail.
-    if not (hasattr(type(max_iter), "__index__") and max_iter >= 1):
-        raise DomainError(f"max_iter must be an integer >= 1, got {max_iter}")
 
-    kappa, x_star, psi_star, gain, iterations, residual = _fixed_point(params, tol, max_iter)
+    kappa, x_star, psi_star, gain, iterations, residual = _fixed_point(params, tol)
     gap = abs(kappa - closed_form_threshold(params, params.threshold_convention))
     return EquilibriumResult(
         convention=params.threshold_convention,
@@ -244,18 +238,15 @@ def solve_fixed_point(
     )
 
 
-def equilibrium_report(
-    params: ModelParams,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> EquilibriumReport:
+def equilibrium_report(params: ModelParams) -> EquilibriumReport:
     """Solve the equilibrium and attach the standalone cost metrics.
 
     The information cost is evaluated at the optimal acquisition effort for
     the majority-state gain; a partisan policy maker also weighs the
-    minority-state gain and the larger effort is reported.
+    minority-state gain and the larger effort is reported. The equilibrium
+    is that of :func:`solve_fixed_point` at its default tolerance.
     """
-    result = solve_fixed_point(params, tol=tol, max_iter=max_iter)
+    result = solve_fixed_point(params)
     effort = optimal_info_effort(params, WorldState.E3)
     if params.leader_type is LeaderType.PARTISAN:
         effort = max(effort, optimal_info_effort(params, WorldState.E2))

@@ -30,13 +30,11 @@ __all__ = [
     "PosteriorConvention",
     "WorldState",
     "Beneficiary",
-    "StateGainAllocation",
     "ModelParams",
     "CostReport",
     "GAIN_ALLOCATION",
     "PARAM_RANGES",
     "RELATIONAL_CHECKS",
-    "gain_allocation",
     "success_probability",
     "info_acquisition_cost",
     "partisan_participation_cost",
@@ -204,23 +202,12 @@ class Beneficiary(str, Enum):
     MAJORITY_INCLUDING_MINORITY = "majority-including-minority"
 
 
-@dataclass(frozen=True)
-class StateGainAllocation:
-    """Who captures the gains of a successful reform in a given state."""
-
-    state: WorldState
-    beneficiary: Beneficiary
-
-
+# Who captures the gains of a successful reform in each state.
 GAIN_ALLOCATION: dict[WorldState, Beneficiary] = {
     WorldState.E1: Beneficiary.LOBBYISTS_ONLY,
     WorldState.E2: Beneficiary.MINORITY_PLUS_POLICY_MAKER,
     WorldState.E3: Beneficiary.MAJORITY_INCLUDING_MINORITY,
 }
-
-
-def gain_allocation(state: WorldState) -> StateGainAllocation:
-    return StateGainAllocation(state=state, beneficiary=GAIN_ALLOCATION[state])
 
 
 @dataclass(frozen=True)
@@ -302,6 +289,8 @@ def success_probability(a: float, phi: float, x: float) -> float:
 
 def info_acquisition_cost(q: float, pi: float) -> float:
     """Cost of acquiring state information with probability pi: q * pi**2 / 2."""
+    if not math.isfinite(q):
+        raise DomainError(f"ability scale q must be a finite number, got {q}")
     if not q > 0.0:
         raise DomainError(f"ability scale q must be > 0, got {q}")
     if not (0.0 <= pi <= 1.0):
@@ -311,6 +300,8 @@ def info_acquisition_cost(q: float, pi: float) -> float:
 
 def partisan_participation_cost(w: float, theta: float) -> float:
     """Ex-post participation cost of the follower core: w * theta**2 / 2."""
+    if not math.isfinite(w):
+        raise DomainError(f"cost scale w must be a finite number, got {w}")
     if w < 0.0:
         raise DomainError(f"cost scale w must be >= 0, got {w}")
     if not (0.0 <= theta <= 1.0):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL, _fixed_point, closed_form_threshold
+from .equilibrium import DEFAULT_TOL, _fixed_point, closed_form_threshold
 from .model import (
     PARAM_RANGES,
     RELATIONAL_CHECKS,
@@ -68,11 +68,10 @@ class SweepSeries:
     skipped: tuple[tuple[float, str], ...] = ()
 
 
-def monotonicity_check(
-    series: Sequence[float], tol: float = MONOTONICITY_TOL
-) -> Monotonicity:
+def monotonicity_check(series: Sequence[float]) -> Monotonicity:
     """Classify a sequence as strictly increasing, strictly decreasing,
-    constant (all pairwise differences within tol), or non-monotone.
+    constant (all pairwise differences within MONOTONICITY_TOL), or
+    non-monotone.
 
     The classification is strict: a tie inside an otherwise rising or
     falling sequence counts as non-monotone. A singleton is constant. A NaN
@@ -85,9 +84,9 @@ def monotonicity_check(
             raise DomainError(f"cannot classify a series with NaN at index {index}")
     signs = set()
     for prev, cur in zip(series, series[1:]):
-        if cur - prev > tol:
+        if cur - prev > MONOTONICITY_TOL:
             signs.add(1)
-        elif prev - cur > tol:
+        elif prev - cur > MONOTONICITY_TOL:
             signs.add(-1)
         else:
             signs.add(0)
@@ -165,7 +164,7 @@ def grid_sweep(
         except ParameterError as exc:
             skipped.append((value, str(exc)))
             continue
-        kappa_star, x_star, psi_star = _fixed_point(params, DEFAULT_TOL, DEFAULT_MAX_ITER)[:3]
+        kappa_star, x_star, psi_star = _fixed_point(params, DEFAULT_TOL)[:3]
         point = object.__new__(SweepPoint)
         point.__dict__.update(kappa_star=kappa_star, x_star=x_star, psi_star=psi_star)
         kept.append(value)
@@ -243,7 +242,8 @@ def finite_difference_sensitivity(
     Uses a central difference of the closed-form threshold under the base
     parameters' convention. When one side of the stencil leaves the valid
     parameter region (a boundary value such as theta = 0), the one-sided
-    difference on the valid side is used instead.
+    difference on the valid side is used instead. A step that leaves the
+    parameter's value unchanged on either side is rejected.
     """
     if parameter_name not in SWEEPABLE_PARAMETERS:
         raise DomainError(f"unknown sensitivity parameter {parameter_name!r}")
@@ -251,6 +251,10 @@ def finite_difference_sensitivity(
         raise DomainError(f"step h must be finite and > 0, got {h}")
 
     center = float(getattr(base, parameter_name))
+    if center + h == center or center - h == center:
+        raise DomainError(
+            f"step h = {h} is below the float spacing of {parameter_name} = {center}"
+        )
     build = _point_builder(base, parameter_name)
 
     def threshold_at(value: float) -> float | None:

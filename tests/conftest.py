@@ -141,3 +141,17 @@ def out_of_memory(monkeypatch):
     Lets a test reach the out-of-memory path without allocating anything.
     """
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _OutOfMemoryGenerator())
+
+
+def _out_of_memory_empty(*args, **kwargs):
+    raise MemoryError("Unable to allocate")
+
+
+@pytest.fixture
+def no_result_arrays(monkeypatch):
+    """Every ``numpy.empty`` fails, as a too-large one would.
+
+    Lets a test reach the out-of-memory path of the result arrays without
+    allocating anything.
+    """
+    monkeypatch.setattr(np, "empty", _out_of_memory_empty)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from reformgame import (
+    GAIN_ALLOCATION,
     DomainError,
     LeaderType,
     ModelParams,
@@ -302,7 +303,7 @@ class TestSimulateOnce:
         population = spawn_population(100, params, seed=55)
         for state in WorldState:
             outcome = simulate_once(population, params, seed=56, force_state=state)
-            assert outcome.beneficiary.state is state
+            assert outcome.beneficiary is GAIN_ALLOCATION[state]
 
     def test_cascade_is_monotone(self):
         cases = [(20_000, make_params(), seed) for seed in range(5)]
@@ -467,6 +468,18 @@ class TestEstimateEquilibrium:
             estimate_equilibrium(make_params(), n=999, replications=5, seed=1)
         with pytest.raises(DomainError):
             estimate_equilibrium(make_params(), n=1000, replications=1, seed=1)
+
+    def test_replications_beyond_numpy(self):
+        # np.empty raised an uncaught "Maximum allowed dimension exceeded".
+        with pytest.raises(DomainError) as err:
+            estimate_equilibrium(make_params(), n=1000, replications=10**20, seed=1)
+        assert str(err.value) == (
+            f"replications must lie in [2, {sys.maxsize // 8}], got {10**20}")
+
+    def test_unallocatable_replications(self, no_result_arrays):
+        with pytest.raises(DomainError) as err:
+            estimate_equilibrium(make_params(), n=1000, replications=10**15, seed=1)
+        assert str(err.value) == f"replications = {10**15} does not fit in memory"
 
     def test_gap_shrinks_with_population(self):
         params = make_params()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +159,26 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "error: population size n = 1000000000000 does not fit in memory\n"
 
+    def test_impossible_replication_count_exits_one(self, tmp_path, capsys):
+        # np.empty raised an uncaught "Maximum allowed dimension exceeded".
+        huge = 10**20
+        base = bundled_path("baseline_simulate.json")
+        payload = json.loads(base.read_text(encoding="utf-8"))
+        payload["abm"]["replications"] = huge
+        for argv in (["--scenario", base, "--replications", huge],
+                     ["--scenario", write_json(tmp_path, payload)]):
+            assert run(["simulate", *argv]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: replications must lie in [2, {sys.maxsize // 8}], got {huge}"]
+
+    def test_unallocatable_replication_count_exits_one(self, no_result_arrays, capsys):
+        argv = ["simulate", "--scenario", bundled_path("baseline_simulate.json"),
+                "--replications", 10**15]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: replications = 1000000000000000 does not fit in memory\n"
+
     def test_seed_override_changes_output(self, tmp_path):
         base = bundled_path("baseline_simulate.json")
         out_a = tmp_path / "a.csv"
@@ -255,6 +276,45 @@ class TestOutFile:
         code = run([command, "--scenario", bundled_path(scenario), "--format", fmt, "--out", out])
         capsys.readouterr()
         assert out.exists() == (code == 0 and command != "validate")
+
+
+# The flags each command reads, in --help order (-h aside), and a scenario
+# it runs on.
+COMMAND_FLAGS = {
+    "solve": ["--scenario", "--out", "--format", "--convention", "--posterior"],
+    "simulate": ["--scenario", "--out", "--format", "--convention", "--posterior",
+                 "--seed", "--agents", "--replications"],
+    "sweep": ["--scenario", "--out", "--format", "--convention", "--posterior"],
+    "validate": ["--scenario", "--out", "--format"],
+    "case-data": ["--scenario", "--out", "--format"],
+}
+COMMAND_SCENARIO = {"solve": "baseline.json", "simulate": "baseline_simulate.json",
+                    "sweep": "baseline_sweep.json", "validate": "baseline.json",
+                    "case-data": "bancarization.json"}
+FLAG_VALUE = {"--convention": "paper-literal", "--posterior": "bayes", "--seed": "1",
+              "--agents": "5", "--replications": "5"}
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in COMMAND_FLAGS.items()
+        for flag in FLAG_VALUE if flag not in flags])
+    def test_unread_flag_exits_two(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out.csv"
+        argv = [command, "--scenario", bundled_path(COMMAND_SCENARIO[command]),
+                flag, FLAG_VALUE[flag], "--out", out]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: reformgame ")
+        assert f"error: unrecognized arguments: {flag} {FLAG_VALUE[flag]}" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_help_lists_only_its_flags(self, capsys, command):
+        assert run([command, "--help"]) == 0
+        help_text = capsys.readouterr().out
+        assert re.findall(r"^  (--[a-z-]+)", help_text, re.MULTILINE) == COMMAND_FLAGS[command]
 
 
 class TestErrorPaths:

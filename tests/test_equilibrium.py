@@ -25,6 +25,7 @@ from reformgame import (
     solve_fixed_point,
     success_probability,
 )
+from reformgame import equilibrium
 from reformgame.sweep import SWEEPABLE_PARAMETERS
 
 from conftest import make_params, random_valid_params
@@ -182,11 +183,13 @@ class TestSolveFixedPoint:
             expected = closed_form_threshold(params)
             assert abs(result.kappa_star - expected) <= 1e-11
 
-    def test_non_convergence_guard(self):
+    def test_non_convergence_guard(self, monkeypatch):
         # The first polish step at the baseline moves by ~1e-17, more than
-        # the smallest positive tolerance.
-        with pytest.raises(ConvergenceError):
-            solve_fixed_point(make_params(), tol=5e-324, max_iter=1)
+        # the smallest positive tolerance; the second reaches residual 0.
+        assert solve_fixed_point(make_params(), tol=5e-324).residual == 0.0
+        monkeypatch.setattr(equilibrium, "MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="^no fixed point within 1 iterations "):
+            solve_fixed_point(make_params(), tol=5e-324)
 
     def test_few_polish_steps(self):
         # The solver starts at the affine map's limit, so only the polish
@@ -212,20 +215,6 @@ class TestSolveFixedPoint:
             solve_fixed_point(make_params(), tol=0.0)
         with pytest.raises(DomainError, match="^tolerance must be > 0, got nan$"):
             solve_fixed_point(make_params(), tol=math.nan)
-        with pytest.raises(DomainError):
-            solve_fixed_point(make_params(), max_iter=0)
-
-    @pytest.mark.parametrize("max_iter", [math.nan, 2.5, math.inf, 0, -1, 1.0])
-    def test_max_iter_must_be_an_integer_from_one(self, max_iter):
-        with pytest.raises(DomainError) as err:
-            solve_fixed_point(make_params(), max_iter=max_iter)
-        assert type(err.value) is DomainError
-        assert str(err.value) == f"max_iter must be an integer >= 1, got {max_iter}"
-
-    def test_max_iter_accepts_any_integer_type(self):
-        expected = solve_fixed_point(make_params())
-        assert solve_fixed_point(make_params(), max_iter=np.int64(3)) == expected
-        assert equilibrium_report(make_params(), max_iter=2).equilibrium == expected
 
 
 class TestParticipationFraction:

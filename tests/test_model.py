@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reformgame import (
+    GAIN_ALLOCATION,
     Beneficiary,
     DomainError,
     LeaderType,
@@ -17,7 +18,6 @@ from reformgame import (
     bundled_path,
     equilibrium_report,
     estimate_equilibrium,
-    gain_allocation,
     grid_sweep,
     info_acquisition_cost,
     optimal_info_effort,
@@ -101,6 +101,25 @@ class TestCosts:
             partisan_participation_cost(-0.1, 0.5)
         with pytest.raises(DomainError):
             partisan_participation_cost(1.0, -0.2)
+
+    @pytest.mark.parametrize("cost,name,value", [
+        (partisan_participation_cost, "cost scale w", math.nan),
+        (partisan_participation_cost, "cost scale w", math.inf),
+        (partisan_participation_cost, "cost scale w", -math.inf),
+        (info_acquisition_cost, "ability scale q", math.nan),
+        (info_acquisition_cost, "ability scale q", math.inf),
+    ])
+    def test_non_finite_scale(self, cost, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be a finite number, got {value}$"):
+            cost(value, 0.5)
+
+    @pytest.mark.parametrize("cost,message", [
+        (partisan_participation_cost, "cost scale w must be >= 0, got -0.1"),
+        (info_acquisition_cost, "ability scale q must be > 0, got -0.1"),
+    ])
+    def test_negative_scale_message(self, cost, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            cost(-0.1, 0.5)
 
     @given(q=st.floats(0.1, 10.0), t=st.floats(0.0, 0.5))
     @settings(max_examples=200)
@@ -390,16 +409,8 @@ class TestValidOnConstruction:
 
 class TestGainAllocation:
     def test_mapping_rows(self):
-        assert gain_allocation(WorldState.E1).beneficiary is Beneficiary.LOBBYISTS_ONLY
-        assert (
-            gain_allocation(WorldState.E2).beneficiary
-            is Beneficiary.MINORITY_PLUS_POLICY_MAKER
-        )
-        assert (
-            gain_allocation(WorldState.E3).beneficiary
-            is Beneficiary.MAJORITY_INCLUDING_MINORITY
-        )
-
-    def test_allocation_carries_its_state(self):
-        for state in WorldState:
-            assert gain_allocation(state).state is state
+        assert GAIN_ALLOCATION == {
+            WorldState.E1: Beneficiary.LOBBYISTS_ONLY,
+            WorldState.E2: Beneficiary.MINORITY_PLUS_POLICY_MAKER,
+            WorldState.E3: Beneficiary.MAJORITY_INCLUDING_MINORITY,
+        }

@@ -347,6 +347,16 @@ class TestFiniteDifferenceSensitivity:
         assert type(err.value) is DomainError
         assert str(err.value) == f"step h must be finite and > 0, got {h}"
 
+    @pytest.mark.parametrize("theta,h", [
+        (0.2, 1e-17),  # returned 0.0, where h = 1e-8 gives 0.519
+        (0.5, 3e-17),  # 0.5 - h moves to the float below, 0.5 + h rounds back
+    ])
+    def test_step_below_the_float_spacing(self, theta, h):
+        with pytest.raises(DomainError) as err:
+            finite_difference_sensitivity(make_params(theta=theta), "theta", h=h)
+        assert type(err.value) is DomainError
+        assert str(err.value) == f"step h = {h} is below the float spacing of theta = {theta}"
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(DomainError):
             finite_difference_sensitivity(make_params(), "zeta", h=1e-6)
