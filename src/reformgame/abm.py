@@ -6,9 +6,11 @@ state, lets the policy maker decide whether to call, and then iterates the
 empirical best response: each reached agent joins once their cost falls
 below ``a * Gamma_eff`` times the previous round's participating fraction.
 The iteration starts from the follower core and stops when the
-participating set no longer changes; each round costs one count over the
-population, and the participation mask is built once, at the end. Success
-is then a single draw at the realized participation level.
+participating set no longer changes. Its first log2(n) rounds each count
+over the population; a longer cascade then ranks the costs it can still
+admit or drop once and answers each later round by binary search. The
+participation mask is built once, at the end. Success is then a single draw
+at the realized participation level.
 
 Agent state is held in parallel numpy arrays so that populations of 1e5
 agents replicate in milliseconds. Each replication of an estimate draws its
@@ -27,6 +29,7 @@ assigned up front and results are aggregated in replication order.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -65,6 +68,14 @@ def derive_seed(master: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _integer(value, name: str) -> int:
+    """value as an int, as operator.index reads it; DomainError naming it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -121,11 +132,12 @@ def spawn_population(
     With ``out``, a population of the same n, the draws go into ``out``'s
     arrays instead of new ones: they are overwritten, and the returned
     population shares them. The draws are the same either way. An ``out``
-    of another size raises ``DomainError``, as does a size numpy cannot
-    describe or allocate, naming n.
+    of another size raises ``DomainError``, as does a size that is not an
+    integer or that numpy cannot describe or allocate, naming n.
     """
     import numpy as np
 
+    n = _integer(n, "population size n")
     if not 1 <= n <= sys.maxsize // 8:  # the largest float64 array numpy can describe
         raise DomainError(f"population size n must lie in [1, {sys.maxsize // 8}], got {n}")
     if out is not None and out.n != n:
@@ -181,7 +193,13 @@ def best_response_cascade(
 
     Each round only counts its participants. The admitted sets are nested
     in the threshold, so a repeated count means a repeated set; the mask is
-    built once, after the loop.
+    built once, after the loop. The first ``n.bit_length()`` rounds count
+    over the whole population, which costs about as much as one sort. A
+    cascade still moving then sorts, once, the reached costs on the side of
+    the threshold it is moving to: those above it when rising, those at or
+    below it when falling. No other agent can change sides, so each later
+    round is one binary search in them, and the result is the same as with
+    a count per round.
 
     Returns the final participation mask, the number of rounds executed, and
     the realized fraction after each round.
@@ -194,9 +212,25 @@ def best_response_cascade(
     count = int(np.count_nonzero(reached & (cost <= threshold)))
     trajectory = [count / n]
     rounds = 1
+    scan_rounds = int(n).bit_length()
+    ranked = None
     while rounds <= n:
         next_threshold = coef * trajectory[-1]
-        next_count = int(np.count_nonzero(reached & (cost <= next_threshold)))
+        if rounds < scan_rounds:
+            next_count = int(np.count_nonzero(reached & (cost <= next_threshold)))
+        else:
+            if ranked is None:
+                # The thresholds are monotone, so every later one lies on
+                # next_threshold's side of this one, and only the reached
+                # costs on that side can still change the count.
+                if next_threshold > threshold:
+                    ranked, below = cost[reached & (cost > threshold)], count
+                else:
+                    ranked, below = cost[reached & (cost <= threshold)], 0
+                ranked.sort()
+                # The dtype `cost <= t` compares in: float32 for float32 costs.
+                key = np.result_type(cost, threshold).type
+            next_count = below + int(np.searchsorted(ranked, key(next_threshold), side="right"))
         if next_count == count:
             break
         threshold, count = next_threshold, next_count
@@ -276,11 +310,14 @@ def estimate_equilibrium(
     game with the call issued and the majority-benefiting state forced, so
     the estimate targets the analytic fixed point. Replication seeds derive
     deterministically from the master seed; results aggregate in
-    replication order. A replication count numpy cannot describe or
-    allocate as an array raises ``DomainError`` naming replications.
+    replication order. An ``n`` or ``replications`` that is not an integer
+    raises ``DomainError`` naming it, as does a replication count numpy
+    cannot describe or allocate as an array.
     """
     import numpy as np
 
+    n = _integer(n, "n")
+    replications = _integer(replications, "replications")
     if n < 1000:
         raise DomainError(f"need at least 1000 agents per replication, got {n}")
     if not 2 <= replications <= sys.maxsize // 8:

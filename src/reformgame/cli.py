@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", _cmd_validate, [files], "validate a scenario file"),
         ("case-data", _cmd_case_data, [files], "ingest a banked-payroll case table"),
     ):
-        sub.add_parser(name, parents=parents, help=help_text).set_defaults(handler=handler)
+        command = sub.add_parser(name, parents=parents, help=help_text)
+        command.set_defaults(handler=handler, command_parser=command)
     return parser
 
 
@@ -169,7 +170,9 @@ def _cmd_case_data(scenario: Scenario,
 def run_command(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unread = parser.parse_known_args(argv)
+        if unread:  # argparse would report them with the top-level usage line
+            args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:  # argparse prints usage itself
         code = exc.code if isinstance(exc.code, int) else EXIT_IO
         return EXIT_OK if code == 0 else EXIT_IO

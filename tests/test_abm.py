@@ -32,6 +32,9 @@ from reformgame.equilibrium import effective_gain
 from conftest import make_params
 
 X_STAR = 4 / 17  # analytic baseline participation
+# perfbench's near-bound fields: contraction modulus 0.942, a cascade that
+# runs for tens to hundreds of rounds, past the bit length of n.
+NEAR_BOUND = {"a": 0.9, "gamma": 0.95, "theta": 0.05, "Gamma_gain": 1.16}
 
 
 class TestSeedDerivation:
@@ -87,6 +90,18 @@ class TestSpawnPopulation:
         bound = sys.maxsize // 8
         with pytest.raises(DomainError, match=rf"size n must lie in \[1, {bound}\], got {n}"):
             spawn_population(n, make_params(), seed=1)
+
+    @pytest.mark.parametrize("n", [10.5, np.float64(500.0), "500", None])
+    def test_rejects_non_integer_size(self, n):
+        with pytest.raises(DomainError) as err:
+            spawn_population(n, make_params(), seed=1)
+        assert str(err.value) == f"population size n must be an integer, got {n!r}"
+
+    def test_accepts_numpy_integer_size(self):
+        population = spawn_population(np.int32(500), make_params(), seed=123)
+        reference = spawn_population(500, make_params(), seed=123)
+        assert population.n == 500
+        assert np.array_equal(population.cost, reference.cost)
 
     def test_unallocatable_population_names_n(self, out_of_memory):
         with pytest.raises(DomainError,
@@ -187,18 +202,21 @@ class TestPopulationReuse:
 
     def test_estimate_allocates_one_population(self):
         # A 100k x 20 estimate never holds two populations at once: its
-        # traced peak stays below twice one population's arrays.
-        params, n = make_params(), 100_000
-        population = spawn_population(n, params, seed=1)
-        nbytes = population.is_follower.nbytes + population.cost.nbytes + population.reached.nbytes
-        del population
-        tracemalloc.start()
-        try:
-            estimate_equilibrium(params, n=n, replications=20, seed=89)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * nbytes
+        # traced peak stays below twice one population's arrays, also near
+        # the bound, where the cascade ranks the costs still in play.
+        n = 100_000
+        for params in (make_params(), make_params(**NEAR_BOUND)):
+            population = spawn_population(n, params, seed=1)
+            nbytes = (population.is_follower.nbytes + population.cost.nbytes
+                      + population.reached.nbytes)
+            del population
+            tracemalloc.start()
+            try:
+                estimate_equilibrium(params, n=n, replications=20, seed=89)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * nbytes
 
 
 class TestRealizeWorld:
@@ -423,6 +441,9 @@ class TestCascadeEquivalence:
     # Gamma_gain within 1e-3 of kappa_max/(a*gamma), at small and large theta.
     @example(params=_cascade_params(0.05, 0.9995, a=0.9, gamma=0.95), n=20_000, seed=8)
     @example(params=_cascade_params(0.9, 0.9995), n=20_000, seed=9)
+    # Rising cascades that run past n.bit_length() rounds (23 and 80).
+    @example(params=make_params(**NEAR_BOUND), n=1000, seed=10)
+    @example(params=make_params(**NEAR_BOUND), n=20_000, seed=11)
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_matches_mask_reference(self, params, n, seed):
         population = spawn_population(n, params, seed)
@@ -432,6 +453,26 @@ class TestCascadeEquivalence:
         assert np.array_equal(mask, ref_mask)
         assert rounds == ref_rounds
         assert trajectory == ref_trajectory
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_falling_cascade_past_the_scan_rounds(self, dtype):
+        # Agent j costs coef*(j + 2)/n, so a threshold of coef*c/n admits
+        # c - 1 of them, the last exactly at the threshold: the count falls
+        # by one agent per round, 20 to 0. In float32 the tie holds only
+        # when the threshold is compared in float32 too.
+        params, n, k = make_params(), 200, 20
+        coef = params.a * effective_gain(params)
+        cost = np.ones(n, dtype=dtype)
+        cost[:k] = coef * ((np.arange(k) + 2) / n)
+        reached = np.arange(n) < k
+        population = Population(is_follower=np.zeros(n, dtype=bool), cost=cost,
+                                reached=reached, seed=0, n=n)
+        mask, rounds, trajectory = best_response_cascade(population, params)
+        ref_mask, ref_rounds, ref_trajectory = _reference_cascade(population, params)
+        assert np.array_equal(mask, ref_mask)
+        assert rounds == ref_rounds
+        assert trajectory == ref_trajectory == [c / n for c in range(k, -1, -1)]
+        assert rounds > n.bit_length()
 
 
 class TestEstimateEquilibrium:
@@ -468,6 +509,20 @@ class TestEstimateEquilibrium:
             estimate_equilibrium(make_params(), n=999, replications=5, seed=1)
         with pytest.raises(DomainError):
             estimate_equilibrium(make_params(), n=1000, replications=1, seed=1)
+
+    @pytest.mark.parametrize("field,n,replications", [
+        ("n", 1000.5, 2), ("n", np.float64(1000.0), 2),
+        ("replications", 1000, 2.5), ("replications", 1000, "2")])
+    def test_rejects_non_integer_sizes(self, field, n, replications):
+        with pytest.raises(DomainError) as err:
+            estimate_equilibrium(make_params(), n=n, replications=replications, seed=1)
+        value = n if field == "n" else replications
+        assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_accepts_numpy_integer_sizes(self):
+        estimate = estimate_equilibrium(
+            make_params(), n=np.int64(1000), replications=np.uint8(2), seed=65)
+        assert estimate == estimate_equilibrium(make_params(), n=1000, replications=2, seed=65)
 
     def test_replications_beyond_numpy(self):
         # np.empty raised an uncaught "Maximum allowed dimension exceeded".

@@ -306,7 +306,7 @@ class TestFlagsPerCommand:
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage: reformgame ")
+        assert captured.err.startswith(f"usage: reformgame {command} ")
         assert f"error: unrecognized arguments: {flag} {FLAG_VALUE[flag]}" in captured.err
         assert not out.exists()
 
