@@ -10,7 +10,6 @@ model and the CLI.
 from .model import (
     BOUNDARY_MARGIN,
     Beneficiary,
-    CostReport,
     DomainError,
     GAIN_ALLOCATION,
     LeaderType,

@@ -9,8 +9,8 @@ The iteration starts from the follower core and stops when the
 participating set no longer changes. Its first log2(n) rounds each count
 over the population; a longer cascade then ranks the costs it can still
 admit or drop once and answers each later round by binary search. The
-participation mask is built once, at the end. Success is then a single draw
-at the realized participation level.
+cascade returns its final threshold, not a participation mask. Success is
+then a single draw at the realized participation level.
 
 Agent state is held in parallel numpy arrays so that populations of 1e5
 agents replicate in milliseconds. Each replication of an estimate draws its
@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# The length of the largest float64 array numpy can describe.
+_MAX_ARRAY = sys.maxsize // 8
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -80,13 +82,14 @@ def _integer(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class Population:
-    """Sampled agents, stored as parallel arrays keyed by agent index."""
+    """Sampled agents, stored as parallel arrays keyed by agent index.
+
+    The population size is the arrays' common length, ``cost.size``.
+    """
 
     is_follower: np.ndarray
     cost: np.ndarray
     reached: np.ndarray
-    seed: int
-    n: int
 
 
 @dataclass(frozen=True)
@@ -130,28 +133,32 @@ def spawn_population(
     ``reached`` unchanged.
 
     With ``out``, a population of the same n, the draws go into ``out``'s
-    arrays instead of new ones: they are overwritten, and the returned
-    population shares them. The draws are the same either way. An ``out``
+    arrays instead of new ones: they are overwritten, and ``out`` itself is
+    returned. The draws are the same either way. An ``out``
     of another size raises ``DomainError``, as does a size that is not an
     integer or that numpy cannot describe or allocate, naming n.
     """
     import numpy as np
 
     n = _integer(n, "population size n")
-    if not 1 <= n <= sys.maxsize // 8:  # the largest float64 array numpy can describe
-        raise DomainError(f"population size n must lie in [1, {sys.maxsize // 8}], got {n}")
-    if out is not None and out.n != n:
-        raise DomainError(f"out must hold a population of n = {n} agents, got n = {out.n}")
-    rng = np.random.default_rng(seed)
+    if not 1 <= n <= _MAX_ARRAY:
+        raise DomainError(f"population size n must lie in [1, {_MAX_ARRAY}], got {n}")
+    if out is not None and out.cost.size != n:
+        raise DomainError(
+            f"out must hold a population of n = {n} agents, got n = {out.cost.size}")
     try:
-        # The first draw allocates (or fills) the cost array, which holds the
-        # reach uniforms until the agent uniforms replace them.
-        cost = rng.random(n) if out is None else rng.random(out=out.cost)
-        reached = np.less(cost, params.gamma, out=None if out is None else out.reached)
-        rng.random(out=cost)
-        is_follower = np.less(cost, params.theta, out=None if out is None else out.is_follower)
+        if out is None:
+            out = Population(is_follower=np.empty(n, dtype=bool), cost=np.empty(n),
+                             reached=np.empty(n, dtype=bool))
     except MemoryError:
         raise DomainError(f"population size n = {n} does not fit in memory") from None
+    rng = np.random.default_rng(seed)
+    # The cost array holds the reach uniforms until the agent uniforms
+    # replace them.
+    cost = rng.random(out=out.cost)
+    np.less(cost, params.gamma, out=out.reached)
+    rng.random(out=cost)
+    np.less(cost, params.theta, out=out.is_follower)
     # (u - theta) / (1 - theta) is at most 1 in floating point too, so no cost
     # exceeds kappa_max; a follower's negative difference becomes 0.
     np.subtract(cost, params.theta, out=cost)
@@ -159,7 +166,7 @@ def spawn_population(
     if params.theta < 1.0:  # at theta = 1 every agent is a follower
         np.divide(cost, 1.0 - params.theta, out=cost)
         np.multiply(cost, params.kappa_max, out=cost)
-    return Population(is_follower=is_follower, cost=cost, reached=reached, seed=seed, n=n)
+    return out
 
 
 def _state_from_uniform(p1: float, p2: float, u: float) -> WorldState:
@@ -181,7 +188,7 @@ def realize_world(p1: float, p2: float, seed: int) -> WorldState:
 
 def best_response_cascade(
     population: Population, params: ModelParams
-) -> tuple[np.ndarray, int, list[float]]:
+) -> tuple[float, int, list[float]]:
     """Iterate the empirical best response until the participating set is stable.
 
     Seeds beliefs at the analytic follower core gamma*theta, then each round
@@ -192,27 +199,29 @@ def best_response_cascade(
     within n rounds; a cap of n rounds guards it regardless.
 
     Each round only counts its participants. The admitted sets are nested
-    in the threshold, so a repeated count means a repeated set; the mask is
-    built once, after the loop. The first ``n.bit_length()`` rounds count
-    over the whole population, which costs about as much as one sort. A
-    cascade still moving then sorts, once, the reached costs on the side of
-    the threshold it is moving to: those above it when rising, those at or
-    below it when falling. No other agent can change sides, so each later
-    round is one binary search in them, and the result is the same as with
-    a count per round.
+    in the threshold, so a repeated count means a repeated set. The first
+    ``n.bit_length()`` rounds count over the whole population, which costs
+    about as much as one sort. A cascade still moving then sorts, once, the
+    reached costs on the side of the threshold it is moving to: those above
+    it when rising, those at or below it when falling. No other agent can
+    change sides, so each later round is one binary search in them, and the
+    result is the same as with a count per round.
 
-    Returns the final participation mask, the number of rounds executed, and
-    the realized fraction after each round.
+    Returns the final threshold, the number of rounds executed, and the
+    realized fraction after each round. No mask is built; a caller that
+    needs the participants gets them as ``reached & (cost <= threshold)``,
+    which compares in the costs' dtype, as the cascade does.
     """
     import numpy as np
 
-    reached, cost, n = population.reached, population.cost, population.n
+    reached, cost = population.reached, population.cost
+    n = cost.size
     coef = params.a * effective_gain(params)
     threshold = coef * (params.gamma * params.theta)
     count = int(np.count_nonzero(reached & (cost <= threshold)))
     trajectory = [count / n]
     rounds = 1
-    scan_rounds = int(n).bit_length()
+    scan_rounds = n.bit_length()
     ranked = None
     while rounds <= n:
         next_threshold = coef * trajectory[-1]
@@ -236,7 +245,7 @@ def best_response_cascade(
         threshold, count = next_threshold, next_count
         trajectory.append(count / n)
         rounds += 1
-    return reached & (cost <= threshold), rounds, trajectory
+    return threshold, rounds, trajectory
 
 
 def simulate_once(
@@ -276,23 +285,14 @@ def simulate_once(
         else:
             called = False
 
-    if not called:
-        return SimOutcome(
-            world_state=state,
-            called=False,
-            participation_fraction=0.0,
-            success=False,
-            beneficiary=GAIN_ALLOCATION[state],
-            iterations_to_converge=0,
-        )
-
-    _, rounds, trajectory = best_response_cascade(population, params)
-    x_hat = trajectory[-1]
-    psi = success_probability(params.a, params.phi, x_hat) if x_hat > 0.0 else 0.0
-    success = bool(rng.random() < psi)
+    rounds, x_hat, success = 0, 0.0, False
+    if called:
+        _, rounds, trajectory = best_response_cascade(population, params)
+        x_hat = trajectory[-1]
+        success = bool(rng.random() < success_probability(params.a, params.phi, x_hat))
     return SimOutcome(
         world_state=state,
-        called=True,
+        called=called,
         participation_fraction=x_hat,
         success=success,
         beneficiary=GAIN_ALLOCATION[state],
@@ -320,15 +320,13 @@ def estimate_equilibrium(
     replications = _integer(replications, "replications")
     if n < 1000:
         raise DomainError(f"need at least 1000 agents per replication, got {n}")
-    if not 2 <= replications <= sys.maxsize // 8:
-        raise DomainError(
-            f"replications must lie in [2, {sys.maxsize // 8}], got {replications}")
+    if not 2 <= replications <= _MAX_ARRAY:
+        raise DomainError(f"replications must lie in [2, {_MAX_ARRAY}], got {replications}")
     try:
         fractions = np.empty(replications)
-        successes = np.empty(replications)
     except MemoryError:
         raise DomainError(f"replications = {replications} does not fit in memory") from None
-    population = None
+    population, successes = None, 0
     for rep in range(replications):
         rep_seed = derive_seed(seed, rep)
         population = spawn_population(n, params, derive_seed(rep_seed, 0), out=population)
@@ -340,7 +338,7 @@ def estimate_equilibrium(
             force_call=True,
         )
         fractions[rep] = outcome.participation_fraction
-        successes[rep] = 1.0 if outcome.success else 0.0
+        successes += outcome.success
 
     mean_x = float(fractions.mean())
     stderr_x = float(fractions.std(ddof=1) / math.sqrt(replications))
@@ -348,7 +346,7 @@ def estimate_equilibrium(
     return AbmEstimate(
         mean_x=mean_x,
         stderr_x=stderr_x,
-        mean_success_rate=float(successes.mean()),
+        mean_success_rate=successes / replications,
         replications=replications,
         agents_per_replication=n,
         analytic_x=analytic_x,

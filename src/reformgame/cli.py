@@ -120,8 +120,8 @@ def _cmd_solve(scenario: Scenario, args: argparse.Namespace) -> EquilibriumResul
         f"residual = {eq.residual:.3g}, closed_form_gap = {eq.closed_form_gap:.3g}"
     )
     print(
-        f"  info_cost = {report.costs.info_cost:.12g}, "
-        f"partisan_cost = {report.costs.partisan_cost:.12g}"
+        f"  info_cost = {report.info_cost:.12g}, "
+        f"partisan_cost = {report.partisan_cost:.12g}"
     )
     return eq
 
@@ -171,8 +171,9 @@ def run_command(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args, unread = parser.parse_known_args(argv)
-        if unread:  # argparse would report them with the top-level usage line
-            args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
+        if unread:  # with the top-level usage line if any precede the command
+            reader = parser if argv.index(args.command) else args.command_parser
+            reader.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:  # argparse prints usage itself
         code = exc.code if isinstance(exc.code, int) else EXIT_IO
         return EXIT_OK if code == 0 else EXIT_IO

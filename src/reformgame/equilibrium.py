@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
-    CostReport,
     DomainError,
     LeaderType,
     ModelParams,
@@ -76,8 +75,16 @@ class EquilibriumResult:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
+    """An equilibrium with the standalone cost metrics attached.
+
+    ``info_cost`` is the policy maker's information-acquisition cost at the
+    optimal effort; ``partisan_cost`` is the ex-post participation cost of
+    the follower core. Neither enters the equilibrium computation.
+    """
+
     equilibrium: EquilibriumResult
-    costs: CostReport
+    info_cost: float
+    partisan_cost: float
 
 
 def effective_gain(params: ModelParams) -> float:
@@ -250,8 +257,8 @@ def equilibrium_report(params: ModelParams) -> EquilibriumReport:
     effort = optimal_info_effort(params, WorldState.E3)
     if params.leader_type is LeaderType.PARTISAN:
         effort = max(effort, optimal_info_effort(params, WorldState.E2))
-    costs = CostReport(
+    return EquilibriumReport(
+        equilibrium=result,
         info_cost=info_acquisition_cost(params.q, effort),
         partisan_cost=partisan_participation_cost(params.w, params.theta),
     )
-    return EquilibriumReport(equilibrium=result, costs=costs)

@@ -31,7 +31,6 @@ __all__ = [
     "WorldState",
     "Beneficiary",
     "ModelParams",
-    "CostReport",
     "GAIN_ALLOCATION",
     "PARAM_RANGES",
     "RELATIONAL_CHECKS",
@@ -257,19 +256,6 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         validate_params(self)
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Standalone cost metrics attached to an equilibrium report.
-
-    ``info_cost`` is the policy maker's information-acquisition cost at the
-    optimal effort; ``partisan_cost`` is the ex-post participation cost of
-    the follower core. Neither enters the equilibrium computation.
-    """
-
-    info_cost: float
-    partisan_cost: float
 
 
 def success_probability(a: float, phi: float, x: float) -> float:

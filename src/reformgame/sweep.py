@@ -36,6 +36,9 @@ SWEEPABLE_PARAMETERS = tuple(PARAM_RANGES)
 # Verdicts must not flip on solver noise; the solver tolerance is 1e-12.
 MONOTONICITY_TOL = 1e-12
 
+# The base point at which success_response_series holds two inputs fixed.
+BASE_A, BASE_PHI, BASE_X = 0.5, 2.0, 0.5
+
 
 class Monotonicity(str, Enum):
     INCREASING = "Increasing"
@@ -210,13 +213,11 @@ def success_response_series(
     a_values: Sequence[float],
     phi_values: Sequence[float],
     x_values: Sequence[float],
-    base_a: float = 0.5,
-    base_phi: float = 2.0,
-    base_x: float = 0.5,
 ) -> SuccessResponse:
     """Success-probability curves against each of its three inputs.
 
-    Produces one series per input, holding the other two at the base point:
+    Produces one series per input, holding the other two at the base point
+    ``(BASE_A, BASE_PHI, BASE_X) = (0.5, 2.0, 0.5)``:
     linear and increasing in the certainty degree, decreasing in the
     complementarity degree for a fixed interior fraction, increasing and
     convex in the participating fraction.
@@ -224,12 +225,12 @@ def success_response_series(
     for grid, label in ((a_values, "a"), (phi_values, "phi"), (x_values, "x")):
         if not len(grid):
             raise DomainError(f"empty grid for {label}")
-    psi_a = [success_probability(a, base_phi, base_x) for a in a_values]
-    psi_phi = [success_probability(base_a, phi, base_x) for phi in phi_values]
-    psi_x = [success_probability(base_a, base_phi, x) for x in x_values]
+    psi_a = [success_probability(a, BASE_PHI, BASE_X) for a in a_values]
+    psi_phi = [success_probability(BASE_A, phi, BASE_X) for phi in phi_values]
+    psi_x = [success_probability(BASE_A, BASE_PHI, x) for x in x_values]
     return SuccessResponse(
-        certainty=_psi_series("a", a_values, psi_a, [base_x] * len(a_values)),
-        complementarity=_psi_series("phi", phi_values, psi_phi, [base_x] * len(phi_values)),
+        certainty=_psi_series("a", a_values, psi_a, [BASE_X] * len(a_values)),
+        complementarity=_psi_series("phi", phi_values, psi_phi, [BASE_X] * len(phi_values)),
         participation=_psi_series("x", x_values, psi_x, list(x_values)),
     )
 

@@ -129,18 +129,22 @@ def count_checks(monkeypatch) -> dict[str, list]:
     return calls
 
 
-class _OutOfMemoryGenerator:
-    def random(self, *args, **kwargs):
-        raise MemoryError("Unable to allocate")
-
-
 @pytest.fixture
 def out_of_memory(monkeypatch):
-    """Every numpy generator fails its first draw, as a too-large one would.
+    """Every ``numpy.empty`` of more than 2**32 elements fails, as a too-large
+    one would; smaller ones allocate as usual.
 
-    Lets a test reach the out-of-memory path without allocating anything.
+    Lets a test reach the out-of-memory path of a population without
+    allocating it.
     """
-    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _OutOfMemoryGenerator())
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if np.prod(shape) > 2**32:
+            raise MemoryError("Unable to allocate")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
 
 
 def _out_of_memory_empty(*args, **kwargs):

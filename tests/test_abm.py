@@ -100,7 +100,7 @@ class TestSpawnPopulation:
     def test_accepts_numpy_integer_size(self):
         population = spawn_population(np.int32(500), make_params(), seed=123)
         reference = spawn_population(500, make_params(), seed=123)
-        assert population.n == 500
+        assert population.cost.size == 500
         assert np.array_equal(population.cost, reference.cost)
 
     def test_unallocatable_population_names_n(self, out_of_memory):
@@ -174,8 +174,7 @@ class TestPopulationReuse:
         reused = spawn_population(3000, params, seed=2, out=other)
         for name in ("is_follower", "cost", "reached"):
             assert np.array_equal(getattr(reused, name), getattr(fresh, name))
-            assert getattr(reused, name) is getattr(other, name)
-        assert (reused.seed, reused.n) == (2, 3000)
+        assert reused is other
 
     def test_wrong_length_out_is_rejected(self):
         other = spawn_population(3000, make_params(), seed=1)
@@ -261,8 +260,6 @@ class TestSimulateOnce:
             is_follower=np.zeros(200, dtype=bool),
             cost=np.linspace(0.0, 1.0, 200),
             reached=np.zeros(200, dtype=bool),
-            seed=0,
-            n=200,
         )
         outcome = simulate_once(
             population, make_params(), seed=1, force_state=WorldState.E3, force_call=True
@@ -312,9 +309,10 @@ class TestSimulateOnce:
         outcome = simulate_once(
             population, params, seed=54, force_state=WorldState.E3, force_call=True
         )
-        mask, _, _ = best_response_cascade(population, params)
+        threshold, _, _ = best_response_cascade(population, params)
+        mask = population.reached & (population.cost <= threshold)
         assert not mask[~population.reached].any()
-        assert outcome.participation_fraction == np.count_nonzero(mask) / population.n
+        assert outcome.participation_fraction == np.count_nonzero(mask) / population.cost.size
 
     def test_beneficiary_follows_state(self):
         params = make_params()
@@ -331,7 +329,7 @@ class TestSimulateOnce:
         for n, params, seed in cases:
             population = spawn_population(n, params, seed=seed)
             _, rounds, trajectory = best_response_cascade(population, params)
-            assert rounds <= population.n
+            assert rounds <= population.cost.size
             steps = [b - a for a, b in zip(trajectory, trajectory[1:])]
             assert all(d >= 0 for d in steps) or all(d <= 0 for d in steps)
 
@@ -342,17 +340,18 @@ def _reference_cascade(population, params):
     Each round builds the full participation mask and stops when it equals
     the previous round's; the package's cascade must match it bit for bit.
     """
+    n = population.cost.size
     coef = params.a * effective_gain(params)
     x_prev = params.gamma * params.theta
     mask = population.reached & (population.cost <= coef * x_prev)
-    trajectory = [float(mask.sum()) / population.n]
+    trajectory = [float(mask.sum()) / n]
     rounds = 1
-    while rounds <= population.n:
+    while rounds <= n:
         nxt = population.reached & (population.cost <= coef * trajectory[-1])
         if np.array_equal(nxt, mask):
             break
         mask = nxt
-        trajectory.append(float(mask.sum()) / population.n)
+        trajectory.append(float(mask.sum()) / n)
         rounds += 1
     return mask, rounds, trajectory
 
@@ -447,7 +446,8 @@ class TestCascadeEquivalence:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_matches_mask_reference(self, params, n, seed):
         population = spawn_population(n, params, seed)
-        mask, rounds, trajectory = best_response_cascade(population, params)
+        threshold, rounds, trajectory = best_response_cascade(population, params)
+        mask = population.reached & (population.cost <= threshold)
         ref_mask, ref_rounds, ref_trajectory = _reference_cascade(population, params)
         assert mask.dtype == ref_mask.dtype
         assert np.array_equal(mask, ref_mask)
@@ -466,8 +466,9 @@ class TestCascadeEquivalence:
         cost[:k] = coef * ((np.arange(k) + 2) / n)
         reached = np.arange(n) < k
         population = Population(is_follower=np.zeros(n, dtype=bool), cost=cost,
-                                reached=reached, seed=0, n=n)
-        mask, rounds, trajectory = best_response_cascade(population, params)
+                                reached=reached)
+        threshold, rounds, trajectory = best_response_cascade(population, params)
+        mask = reached & (cost <= threshold)
         ref_mask, ref_rounds, ref_trajectory = _reference_cascade(population, params)
         assert np.array_equal(mask, ref_mask)
         assert rounds == ref_rounds

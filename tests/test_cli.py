@@ -296,18 +296,21 @@ FLAG_VALUE = {"--convention": "paper-literal", "--posterior": "bayes", "--seed":
 
 
 class TestFlagsPerCommand:
-    @pytest.mark.parametrize("command,flag", [
-        (command, flag) for command, flags in COMMAND_FLAGS.items()
-        for flag in FLAG_VALUE if flag not in flags])
-    def test_unread_flag_exits_two(self, tmp_path, capsys, command, flag):
+    @pytest.mark.parametrize("command,unread,before", [
+        pytest.param(command, [flag, FLAG_VALUE[flag]], False, id=f"{command}-{flag}")
+        for command, flags in COMMAND_FLAGS.items() for flag in FLAG_VALUE if flag not in flags
+    ] + [pytest.param("validate", ["--bogus"], True, id="before-validate")])
+    def test_unread_flag_exits_two(self, tmp_path, capsys, command, unread, before):
+        # A flag given before the command belongs to no command, so it gets
+        # the top-level usage line.
         out = tmp_path / "out.csv"
-        argv = [command, "--scenario", bundled_path(COMMAND_SCENARIO[command]),
-                flag, FLAG_VALUE[flag], "--out", out]
-        assert run(argv) == 2
+        argv = [command, "--scenario", bundled_path(COMMAND_SCENARIO[command]), "--out", out]
+        assert run(unread + argv if before else argv[:3] + unread + argv[3:]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"usage: reformgame {command} ")
-        assert f"error: unrecognized arguments: {flag} {FLAG_VALUE[flag]}" in captured.err
+        usage = "[-h] {solve,simulate,sweep,validate,case-data} " if before else f"{command} "
+        assert captured.err.startswith(f"usage: reformgame {usage}")
+        assert f"error: unrecognized arguments: {' '.join(unread)}" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMAND_FLAGS)

@@ -257,14 +257,14 @@ class TestEquilibriumReport:
     def test_cost_report_non_partisan(self):
         report = equilibrium_report(make_params())
         # Effort for G3 = 1: 0.7*0.5*0.8 = 0.28; cost = 0.5 * 0.28^2.
-        assert report.costs.info_cost == pytest.approx(0.5 * 0.28**2, rel=1e-12)
-        assert report.costs.partisan_cost == pytest.approx(0.5 * 1.0 * 0.04, rel=1e-12)
+        assert report.info_cost == pytest.approx(0.5 * 0.28**2, rel=1e-12)
+        assert report.partisan_cost == pytest.approx(0.5 * 1.0 * 0.04, rel=1e-12)
 
     def test_cost_report_partisan_takes_larger_effort(self):
         params = make_params(leader_type=LeaderType.PARTISAN, G2=3.0, G3=1.0)
         report = equilibrium_report(params)
         effort_g2 = 0.7 * 0.5 * 0.8 * 3.0  # larger than the G3 effort
-        assert report.costs.info_cost == pytest.approx(
+        assert report.info_cost == pytest.approx(
             info_acquisition_cost(params.q, effort_g2), rel=1e-12
         )
 
@@ -393,7 +393,7 @@ class TestEveryModelParams:
         report = equilibrium_report(params)
         eq = report.equilibrium
         values = (eq.kappa_star, eq.x_star, eq.psi_star, eq.closed_form_gap,
-                  report.costs.info_cost, report.costs.partisan_cost)
+                  report.info_cost, report.partisan_cost)
         assert all(math.isfinite(v) for v in values), values
         assert 0.0 <= eq.kappa_star <= params.kappa_max
         assert params.gamma * params.theta - 1e-15 <= eq.x_star <= params.gamma + 1e-15

@@ -19,6 +19,7 @@ from reformgame import (
     grid_sweep,
     monotonicity_check,
     solve_fixed_point,
+    success_probability,
     success_response_series,
 )
 from reformgame.model import PARAM_RANGES, RELATIONAL_CHECKS
@@ -293,8 +294,9 @@ class TestSuccessResponseSeries:
     def test_zero_participation_kills_success(self):
         for a in (0.2, 0.5, 0.8):
             for phi in (1.5, 2.0, 4.0):
-                response = success_response_series([a], [phi], [0.0], base_a=a, base_phi=phi)
-                assert response.participation.outputs[0].psi_star == 0.0
+                assert success_probability(a, phi, 0.0) == 0.0
+        response = success_response_series([0.5], [2.0], [0.0])
+        assert response.participation.outputs[0].psi_star == 0.0
 
     def test_threshold_column_not_defined_for_response_panels(self):
         response = success_response_series([0.5], [2.0], [0.5])
