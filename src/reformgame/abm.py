@@ -80,6 +80,14 @@ def _integer(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _generator_seed(seed) -> int:
+    """seed as an int numpy's generator takes; DomainError naming it otherwise."""
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class Population:
     """Sampled agents, stored as parallel arrays keyed by agent index.
@@ -136,13 +144,15 @@ def spawn_population(
     arrays instead of new ones: they are overwritten, and ``out`` itself is
     returned. The draws are the same either way. An ``out``
     of another size raises ``DomainError``, as does a size that is not an
-    integer or that numpy cannot describe or allocate, naming n.
+    integer or that numpy cannot describe or allocate, naming n, and a seed
+    that is not a non-negative integer, naming the seed.
     """
     import numpy as np
 
     n = _integer(n, "population size n")
     if not 1 <= n <= _MAX_ARRAY:
         raise DomainError(f"population size n must lie in [1, {_MAX_ARRAY}], got {n}")
+    seed = _generator_seed(seed)
     if out is not None and out.cost.size != n:
         raise DomainError(
             f"out must hold a population of n = {n} agents, got n = {out.cost.size}")
@@ -201,21 +211,30 @@ def best_response_cascade(
     Each round only counts its participants. The admitted sets are nested
     in the threshold, so a repeated count means a repeated set. The first
     ``n.bit_length()`` rounds count over the whole population, which costs
-    about as much as one sort. A cascade still moving then sorts, once, the
-    reached costs on the side of the threshold it is moving to: those above
-    it when rising, those at or below it when falling. No other agent can
-    change sides, so each later round is one binary search in them, and the
-    result is the same as with a count per round.
+    about as much as one sort. A cascade still moving then gathers, by
+    index, the reached costs on the side of the threshold it is moving to:
+    those above it when rising, those at or below it when falling. It sorts
+    them once. No other agent can change sides, so each later round is one
+    binary search in them, and the result is the same as with a count per
+    round.
 
     Returns the final threshold, the number of rounds executed, and the
     realized fraction after each round. No mask is built; a caller that
     needs the participants gets them as ``reached & (cost <= threshold)``,
-    which compares in the costs' dtype, as the cascade does.
+    which compares in the costs' dtype, as the cascade does. A population
+    with no agents, or whose ``reached`` and ``cost`` differ in length,
+    raises ``DomainError``.
     """
     import numpy as np
 
     reached, cost = population.reached, population.cost
     n = cost.size
+    if n == 0:
+        raise DomainError("population must hold at least one agent")
+    if reached.size != n:
+        raise DomainError(
+            f"population's reached and cost must have one entry per agent, "
+            f"got {reached.size} and {n}")
     coef = params.a * effective_gain(params)
     threshold = coef * (params.gamma * params.theta)
     count = int(np.count_nonzero(reached & (cost <= threshold)))
@@ -231,15 +250,18 @@ def best_response_cascade(
             if ranked is None:
                 # The thresholds are monotone, so every later one lies on
                 # next_threshold's side of this one, and only the reached
-                # costs on that side can still change the count.
+                # costs on that side can still change the count. Gathering
+                # them by index selects what cost[mask] would, in the same
+                # order, several times faster than boolean indexing.
                 if next_threshold > threshold:
-                    ranked, below = cost[reached & (cost > threshold)], count
+                    in_play, below = np.flatnonzero(reached & (cost > threshold)), count
                 else:
-                    ranked, below = cost[reached & (cost <= threshold)], 0
+                    in_play, below = np.flatnonzero(reached & (cost <= threshold)), 0
+                ranked = cost.take(in_play)
                 ranked.sort()
                 # The dtype `cost <= t` compares in: float32 for float32 costs.
                 key = np.result_type(cost, threshold).type
-            next_count = below + int(np.searchsorted(ranked, key(next_threshold), side="right"))
+            next_count = below + int(ranked.searchsorted(key(next_threshold), "right"))
         if next_count == count:
             break
         threshold, count = next_threshold, next_count
@@ -263,10 +285,15 @@ def simulate_once(
     maker to have learned the state, a single draw with the optimal
     information-effort probability; ``force_call`` bypasses both gates to
     isolate the participation game. Without a call nobody participates.
+    A seed that is not a non-negative integer, or a ``force_state`` that is
+    neither None nor a ``WorldState``, raises ``DomainError`` naming it,
+    before anything is drawn.
     """
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    if force_state is not None and not isinstance(force_state, WorldState):
+        raise DomainError(f"force_state must be a WorldState or None, got {force_state!r}")
+    rng = np.random.default_rng(_generator_seed(seed))
 
     state = force_state if force_state is not None else _state_from_uniform(
         params.p1, params.p2, float(rng.random())
@@ -310,14 +337,16 @@ def estimate_equilibrium(
     game with the call issued and the majority-benefiting state forced, so
     the estimate targets the analytic fixed point. Replication seeds derive
     deterministically from the master seed; results aggregate in
-    replication order. An ``n`` or ``replications`` that is not an integer
-    raises ``DomainError`` naming it, as does a replication count numpy
-    cannot describe or allocate as an array.
+    replication order. An ``n``, ``replications`` or ``seed`` that is not
+    an integer raises ``DomainError`` naming it, as does a replication count
+    numpy cannot describe or allocate as an array. Any integer seed is
+    accepted, negative ones included: replication seeds take it modulo 2**64.
     """
     import numpy as np
 
     n = _integer(n, "n")
     replications = _integer(replications, "replications")
+    seed = _integer(seed, "seed")
     if n < 1000:
         raise DomainError(f"need at least 1000 agents per replication, got {n}")
     if not 2 <= replications <= _MAX_ARRAY:

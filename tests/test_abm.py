@@ -103,6 +103,16 @@ class TestSpawnPopulation:
         assert population.cost.size == 500
         assert np.array_equal(population.cost, reference.cost)
 
+    @pytest.mark.parametrize("seed,message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"),
+        (None, "seed must be an integer, got None"),
+        (-1, "seed must be a non-negative integer, got -1")])
+    def test_rejects_bad_seed(self, seed, message):
+        with pytest.raises(DomainError) as err:
+            spawn_population(500, make_params(), seed=seed)
+        assert str(err.value) == message
+
     def test_unallocatable_population_names_n(self, out_of_memory):
         with pytest.raises(DomainError,
                            match=r"^population size n = 1000000000000 does not fit in memory$"):
@@ -314,6 +324,25 @@ class TestSimulateOnce:
         assert not mask[~population.reached].any()
         assert outcome.participation_fraction == np.count_nonzero(mask) / population.cost.size
 
+    @pytest.mark.parametrize("seed,force_state,message", [
+        (1.5, None, "seed must be an integer, got 1.5"),
+        (-1, None, "seed must be a non-negative integer, got -1"),
+        (1, "E3", "force_state must be a WorldState or None, got 'E3'"),
+        (1, 3, "force_state must be a WorldState or None, got 3")])
+    def test_rejects_bad_seed_or_state_before_drawing(self, monkeypatch, seed, force_state,
+                                                      message):
+        params = make_params()
+        population = spawn_population(100, params, seed=57)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a generator was made before the arguments were checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(DomainError) as err:
+            simulate_once(population, params, seed=seed, force_state=force_state,
+                          force_call=True)
+        assert str(err.value) == message
+
     def test_beneficiary_follows_state(self):
         params = make_params()
         population = spawn_population(100, params, seed=55)
@@ -475,6 +504,40 @@ class TestCascadeEquivalence:
         assert trajectory == ref_trajectory == [c / n for c in range(k, -1, -1)]
         assert rounds > n.bit_length()
 
+    @pytest.mark.parametrize("n,seed,dtype,min_rounds", [
+        (20_000, 11, np.float32, 60),
+        # The benchmark's shape: 112 rounds, about 41 % of n still in play.
+        (100_000, 1, np.float64, 100)])
+    def test_rising_cascade_past_the_scan_rounds(self, n, seed, dtype, min_rounds):
+        params = make_params(**NEAR_BOUND)
+        drawn = spawn_population(n, params, seed)
+        population = Population(is_follower=drawn.is_follower, cost=drawn.cost.astype(dtype),
+                                reached=drawn.reached)
+        threshold, rounds, trajectory = best_response_cascade(population, params)
+        mask = population.reached & (population.cost <= threshold)
+        ref_mask, ref_rounds, ref_trajectory = _reference_cascade(population, params)
+        assert np.array_equal(mask, ref_mask)
+        assert rounds == ref_rounds
+        assert trajectory == ref_trajectory
+        # Still rising after the scan rounds, with the reached agents above
+        # the last scanned threshold, about 40 % of n, ranked.
+        scan_rounds = n.bit_length()
+        assert rounds >= min_rounds
+        assert trajectory[scan_rounds] > trajectory[scan_rounds - 1]
+        in_play = np.count_nonzero(population.reached) - round(trajectory[scan_rounds - 1] * n)
+        assert 0.35 < in_play / n < 0.5
+
+    @pytest.mark.parametrize("cost,reached,message", [
+        (np.zeros(0), np.zeros(0, dtype=bool), "population must hold at least one agent"),
+        (np.zeros(3), np.ones(4, dtype=bool),
+         "population's reached and cost must have one entry per agent, got 4 and 3")])
+    def test_rejects_malformed_population(self, cost, reached, message):
+        population = Population(is_follower=np.zeros(cost.size, dtype=bool), cost=cost,
+                                reached=reached)
+        with pytest.raises(DomainError) as err:
+            best_response_cascade(population, make_params())
+        assert str(err.value) == message
+
 
 class TestEstimateEquilibrium:
     def test_baseline_gap_small(self):
@@ -519,6 +582,18 @@ class TestEstimateEquilibrium:
             estimate_equilibrium(make_params(), n=n, replications=replications, seed=1)
         value = n if field == "n" else replications
         assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(DomainError) as err:
+            estimate_equilibrium(make_params(), n=1000, replications=2, seed=seed)
+        assert str(err.value) == f"seed must be an integer, got {seed!r}"
+
+    def test_accepts_any_integer_seed(self):
+        # Replication seeds take the master seed modulo 2**64.
+        estimate = estimate_equilibrium(make_params(), n=1000, replications=2, seed=-1)
+        assert estimate == estimate_equilibrium(
+            make_params(), n=1000, replications=2, seed=np.uint64(2**64 - 1))
 
     def test_accepts_numpy_integer_sizes(self):
         estimate = estimate_equilibrium(
