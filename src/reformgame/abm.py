@@ -189,10 +189,14 @@ def _state_from_uniform(p1: float, p2: float, u: float) -> WorldState:
 
 
 def realize_world(p1: float, p2: float, seed: int) -> WorldState:
-    """Draw the world state with probabilities (p1, (1-p1)p2, (1-p1)(1-p2))."""
+    """Draw the world state with probabilities (p1, (1-p1)p2, (1-p1)(1-p2)).
+
+    ``seed`` must be a non-negative integer; anything else raises
+    DomainError naming it.
+    """
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_generator_seed(seed))
     return _state_from_uniform(p1, p2, float(rng.random()))
 
 

@@ -349,15 +349,21 @@ def load_scenario(path: str | Path, **param_overrides: Any) -> Scenario:
 
 _RECORDS = (EquilibriumResult, AbmEstimate, BancarizationSeries)
 
+# A sweep's written keys: its columns are written point by point, as outputs.
+_SWEEP_KEYS = ("parameter_name", "values", "outputs", "monotonicity", "target", "skipped")
+
 
 def _json(value: Any) -> Any:
     """value as JSON data: floats at 12 significant digits, so that JSON and
-    CSV report identical values; dataclasses as objects of their fields in
-    declaration order (a plain dataclass's instance dict); enums by value."""
+    CSV report identical values; a sweep series by its written keys;
+    dataclasses as objects of their fields in declaration order (a plain
+    dataclass's instance dict); enums by value."""
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, (list, tuple)):
         return [_json(item) for item in value]
+    if isinstance(value, SweepSeries):
+        return {key: _json(getattr(value, key)) for key in _SWEEP_KEYS}
     if is_dataclass(value):
         return {name: _json(item) for name, item in vars(value).items()}
     if isinstance(value, Enum):
@@ -389,8 +395,9 @@ def write_results(result: Any, path: str | Path, format: str = "csv") -> None:
     else, an equilibrium report included, raises TypeError. An unknown
     format raises ValueError before the result is looked at. A record's
     CSV columns and JSON keys are its dataclass fields in declaration
-    order; a sweep's CSV has one row per kept point, and its JSON is its
-    SweepSeries fields in order. Floats carry 12 significant digits and
+    order; a sweep's CSV has one row per kept point, and its JSON has the
+    keys parameter_name, values, outputs (one object per kept point),
+    monotonicity, target and skipped. Floats carry 12 significant digits and
     the output contains nothing run-dependent, so rewriting the same
     result yields byte-identical files.
     """

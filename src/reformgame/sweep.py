@@ -49,6 +49,8 @@ class Monotonicity(str, Enum):
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One kept grid point's equilibrium, as ``SweepSeries.outputs`` views it."""
+
     kappa_star: float
     x_star: float
     psi_star: float
@@ -60,15 +62,25 @@ class SweepSeries:
 
     ``values`` keeps only the grid points that produced a valid model;
     points rejected by validation are listed in ``skipped`` with the
-    violated constraint. ``monotonicity`` classifies the ``target`` column.
+    violated constraint. ``kappa_star``, ``x_star`` and ``psi_star`` are
+    columns of floats aligned with ``values``, so a series holds no object
+    per point. ``monotonicity`` classifies the ``target`` column.
     """
 
     parameter_name: str
     values: tuple[float, ...]
-    outputs: tuple[SweepPoint, ...]
+    kappa_star: tuple[float, ...]
+    x_star: tuple[float, ...]
+    psi_star: tuple[float, ...]
     monotonicity: Monotonicity
     target: str = "kappa_star"
     skipped: tuple[tuple[float, str], ...] = ()
+
+    @property
+    def outputs(self) -> tuple[SweepPoint, ...]:
+        """The columns as one SweepPoint per kept point, built on each read:
+        result files write a sweep this way, and the benchmark's check reads it."""
+        return tuple(map(SweepPoint, self.kappa_star, self.x_star, self.psi_star))
 
 
 def monotonicity_check(series: Sequence[float]) -> Monotonicity:
@@ -100,6 +112,17 @@ def monotonicity_check(series: Sequence[float]) -> Monotonicity:
     if signs == {-1}:
         return Monotonicity.DECREASING
     return Monotonicity.NON_MONOTONE
+
+
+def _grid(values: Iterable[float], name: str) -> list[float]:
+    """values as floats; DomainError naming the grid unless it is non-empty
+    and strictly increasing."""
+    grid = [float(v) for v in values]
+    if not grid:
+        raise DomainError(f"{name} is empty")
+    if any(not b > a for a, b in zip(grid, grid[1:])):  # NaN fails too
+        raise DomainError(f"{name} values must be strictly increasing")
+    return grid
 
 
 def _point_builder(base: ModelParams, parameter_name: str) -> Callable[[float], ModelParams]:
@@ -135,31 +158,31 @@ def grid_sweep(
 ) -> SweepSeries:
     """Solve the equilibrium at each grid value of one parameter.
 
-    Grid points whose parameter set fails validation are skipped and
-    reported; a grid with no valid point at all is an error. The
-    monotonicity verdict applies to kappa_star over the retained points.
+    The grid must be non-empty and strictly increasing. Grid points whose
+    parameter set fails validation are skipped and reported; a grid with no
+    valid point at all is an error. The monotonicity verdict applies to
+    kappa_star over the retained points.
 
     Each point runs only the checks its varied field can break (see
     ``_point_builder``) and is solved by the solver's kernel at the default
     tolerance: its numbers are those of ``solve_fixed_point``, but the
     ``EquilibriumResult`` and closed-form gap a point would drop are never
-    built, and each ``SweepPoint`` is filled in without the dataclass
-    ``__init__``.
+    built. A kept point appends its three floats to the series' columns and
+    builds no record; the garbage collector does not track floats, so a
+    long sweep starts no collection.
     """
     if parameter_name not in SWEEPABLE_PARAMETERS:
         raise DomainError(
             f"unknown sweep parameter {parameter_name!r}; "
             f"expected one of {', '.join(SWEEPABLE_PARAMETERS)}"
         )
-    grid = [float(v) for v in values]
-    if not grid:
-        raise DomainError("sweep grid is empty")
-    if any(not b > a for a, b in zip(grid, grid[1:])):  # NaN fails too
-        raise DomainError("sweep grid values must be strictly increasing")
+    grid = _grid(values, "sweep grid")
 
     build = _point_builder(base, parameter_name)
     kept: list[float] = []
-    points: list[SweepPoint] = []
+    kappas: list[float] = []
+    xs: list[float] = []
+    psis: list[float] = []
     skipped: list[tuple[float, str]] = []
     for value in grid:
         try:
@@ -168,21 +191,22 @@ def grid_sweep(
             skipped.append((value, str(exc)))
             continue
         kappa_star, x_star, psi_star = _fixed_point(params, DEFAULT_TOL)[:3]
-        point = object.__new__(SweepPoint)
-        point.__dict__.update(kappa_star=kappa_star, x_star=x_star, psi_star=psi_star)
         kept.append(value)
-        points.append(point)
+        kappas.append(kappa_star)
+        xs.append(x_star)
+        psis.append(psi_star)
     if not kept:
         raise ParameterError(
             "sweep_grid",
             f"no valid grid point for {parameter_name}; first rejection: {skipped[0][1]}",
         )
-    verdict = monotonicity_check([p.kappa_star for p in points])
     return SweepSeries(
         parameter_name=parameter_name,
         values=tuple(kept),
-        outputs=tuple(points),
-        monotonicity=verdict,
+        kappa_star=tuple(kappas),
+        x_star=tuple(xs),
+        psi_star=tuple(psis),
+        monotonicity=monotonicity_check(kappas),
         target="kappa_star",
         skipped=tuple(skipped),
     )
@@ -194,17 +218,15 @@ class SuccessResponse(NamedTuple):
     participation: SweepSeries
 
 
-def _psi_series(name: str, grid: Sequence[float], psi: Sequence[float],
-                x_of: Sequence[float]) -> SweepSeries:
-    points = tuple(
-        SweepPoint(kappa_star=math.nan, x_star=x, psi_star=p)
-        for x, p in zip(x_of, psi)
-    )
+def _psi_series(name: str, grid: list[float], psi: list[float],
+                x_of: list[float]) -> SweepSeries:
     return SweepSeries(
         parameter_name=name,
-        values=tuple(float(v) for v in grid),
-        outputs=points,
-        monotonicity=monotonicity_check(list(psi)),
+        values=tuple(grid),
+        kappa_star=(math.nan,) * len(grid),
+        x_star=tuple(x_of),
+        psi_star=tuple(psi),
+        monotonicity=monotonicity_check(psi),
         target="psi_star",
     )
 
@@ -220,18 +242,19 @@ def success_response_series(
     ``(BASE_A, BASE_PHI, BASE_X) = (0.5, 2.0, 0.5)``:
     linear and increasing in the certainty degree, decreasing in the
     complementarity degree for a fixed interior fraction, increasing and
-    convex in the participating fraction.
+    convex in the participating fraction. Each grid must be non-empty and
+    strictly increasing, so that a verdict reads the curve left to right.
     """
-    for grid, label in ((a_values, "a"), (phi_values, "phi"), (x_values, "x")):
-        if not len(grid):
-            raise DomainError(f"empty grid for {label}")
+    a_values = _grid(a_values, "certainty grid (a)")
+    phi_values = _grid(phi_values, "complementarity grid (phi)")
+    x_values = _grid(x_values, "participation grid (x)")
     psi_a = [success_probability(a, BASE_PHI, BASE_X) for a in a_values]
     psi_phi = [success_probability(BASE_A, phi, BASE_X) for phi in phi_values]
     psi_x = [success_probability(BASE_A, BASE_PHI, x) for x in x_values]
     return SuccessResponse(
         certainty=_psi_series("a", a_values, psi_a, [BASE_X] * len(a_values)),
         complementarity=_psi_series("phi", phi_values, psi_phi, [BASE_X] * len(phi_values)),
-        participation=_psi_series("x", x_values, psi_x, list(x_values)),
+        participation=_psi_series("x", x_values, psi_x, x_values),
     )
 
 

@@ -252,6 +252,15 @@ class TestRealizeWorld:
             u = np.random.default_rng(seed).random()
             assert realize_world(0.3, 0.4, seed) is _state_from_uniform(0.3, 0.4, u)
 
+    @pytest.mark.parametrize("seed,message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"),
+        (-1, "seed must be a non-negative integer, got -1")])
+    def test_rejects_bad_seed(self, seed, message):
+        with pytest.raises(DomainError) as err:
+            realize_world(0.3, 0.4, seed)
+        assert str(err.value) == message
+
 
 class TestSimulateOnce:
     def test_zero_cost_population_all_reached_participate(self):

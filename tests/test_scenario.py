@@ -15,7 +15,6 @@ from reformgame import (
     Scenario,
     ScenarioParseError,
     ScenarioSchemaError,
-    SweepPoint,
     SweepSeries,
     SweepSettings,
     ThresholdConvention,
@@ -462,7 +461,9 @@ WRITTEN = [
         SweepSeries(
             parameter_name="theta",
             values=(0.1, 0.3),
-            outputs=(SweepPoint(2 / 17, 4 / 17, 0.5), SweepPoint(0.1, 0.2, 1 / 3)),
+            kappa_star=(2 / 17, 0.1),
+            x_star=(4 / 17, 0.2),
+            psi_star=(0.5, 1 / 3),
             monotonicity=Monotonicity.DECREASING,
             skipped=((0.2, "participant_gain_bound: a*gamma*Gamma_gain must be < kappa_max"),),
         ),
@@ -506,7 +507,9 @@ theta,0.3,0.1,0.2,0.333333333333
         SweepSeries(
             parameter_name="kappa_max",
             values=(1e-05, 1e11),
-            outputs=(SweepPoint(0.0, 0.0, 0.0), SweepPoint(1e11, 1e-05, 1.0)),
+            kappa_star=(0.0, 1e11),
+            x_star=(0.0, 1e-05),
+            psi_star=(0.0, 1.0),
             monotonicity=Monotonicity.INCREASING,
         ),
         """\

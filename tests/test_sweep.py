@@ -1,5 +1,7 @@
+import gc
 import math
 import pickle
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -213,6 +215,27 @@ class TestGridSweep:
             expected = closed_form_threshold(make_params(gamma=value))
             assert point.kappa_star == pytest.approx(expected, abs=1e-10)
 
+    def test_long_sweep_runs_no_garbage_collection(self):
+        # A kept point appends three floats, which the collector does not
+        # track; one tracked object per point would start a collection
+        # within 1001 points on every supported Python.
+        grid = [i / 1000 for i in range(1001)]
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            series = grid_sweep(BASELINE, "theta", grid)
+        finally:
+            gc.callbacks.remove(record)
+        assert len(series.values) == 1001
+        assert starts == []
+
 
 def _sweep_values(lo: float, hi: float, center: float):
     """Values for one field: in range, anywhere, +-inf, NaN, and multiples of
@@ -304,8 +327,23 @@ class TestSuccessResponseSeries:
         assert response.certainty.target == "psi_star"
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(DomainError):
-            success_response_series([], [2.0], [0.5])
+        for panel, grids in (("certainty grid (a)", ([], [2.0], [0.5])),
+                             ("complementarity grid (phi)", ([0.5], [], [0.5])),
+                             ("participation grid (x)", ([0.5], [2.0], []))):
+            with pytest.raises(DomainError, match=rf"^{re.escape(panel)} is empty$"):
+                success_response_series(*grids)
+
+    @pytest.mark.parametrize("panel,grids", [
+        ("certainty grid (a)", ([0.8, 0.2], [2.0], [0.5])),
+        ("certainty grid (a)", ([0.2, 0.2], [2.0], [0.5])),
+        ("complementarity grid (phi)", ([0.5], [3.0, 1.5], [0.5])),
+        ("complementarity grid (phi)", ([0.5], [1.5, math.nan, 3.0], [0.5])),
+        ("participation grid (x)", ([0.5], [2.0], [0.9, 0.1]))])
+    def test_grid_must_strictly_increase(self, panel, grids):
+        # A reversed grid would read psi's rise in a as a fall.
+        message = rf"^{re.escape(panel)} values must be strictly increasing$"
+        with pytest.raises(DomainError, match=message):
+            success_response_series(*grids)
 
 
 class TestFiniteDifferenceSensitivity:
