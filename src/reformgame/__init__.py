@@ -14,8 +14,10 @@ from .model import (
     GAIN_ALLOCATION,
     LeaderType,
     ModelParams,
+    PARAM_RANGES,
     ParameterError,
     PosteriorConvention,
+    RELATIONAL_CHECKS,
     ThresholdConvention,
     WorldState,
     info_acquisition_cost,
@@ -34,7 +36,6 @@ from .equilibrium import (
     closed_form_threshold,
     effective_gain,
     equilibrium_report,
-    participation_fraction,
     solve_fixed_point,
 )
 from .abm import (
@@ -51,6 +52,7 @@ from .abm import (
 from .sweep import (
     Monotonicity,
     SuccessResponse,
+    SWEEPABLE_PARAMETERS,
     SweepPoint,
     SweepSeries,
     finite_difference_sensitivity,

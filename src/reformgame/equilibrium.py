@@ -35,7 +35,6 @@ __all__ = [
     "EquilibriumReport",
     "effective_gain",
     "best_response_map",
-    "participation_fraction",
     "closed_form_threshold",
     "solve_fixed_point",
     "equilibrium_report",
@@ -121,21 +120,6 @@ def best_response_map(params: ModelParams, kappa: float) -> float:
     )
 
 
-def participation_fraction(params: ModelParams, kappa_star: float) -> float:
-    """Participating fraction induced by a threshold kappa_star.
-
-    All reached followers participate, plus reached non-followers with cost
-    up to the threshold; the result lies in [gamma*theta, gamma].
-    """
-    if not (0.0 <= kappa_star <= params.kappa_max):
-        raise DomainError(
-            f"kappa_star must lie in [0, kappa_max = {params.kappa_max}], got {kappa_star}"
-        )
-    return params.gamma * (
-        params.theta + (1.0 - params.theta) * (kappa_star / params.kappa_max)
-    )
-
-
 def closed_form_threshold(
     params: ModelParams, convention: ThresholdConvention | None = None
 ) -> float:
@@ -154,9 +138,10 @@ def closed_form_threshold(
     if convention is None:
         convention = params.threshold_convention
     scale = params.a * params.gamma * effective_gain(params)
-    if scale == 0.0 or params.theta == 0.0:
-        # No followers, or a partisan call with no perceived gain (p2 = 0
-        # under the PAPER posterior, p2 = 1 under BAYES): both forms are 0.
+    if scale == 0.0:
+        # A partisan call with no perceived gain (p2 = 0 under the PAPER
+        # posterior, p2 = 1 under BAYES). With no followers (theta = 0)
+        # both forms below give 0.0 on their own.
         return 0.0
     if convention is ThresholdConvention.PAPER_LITERAL:
         return params.theta / (1.0 / scale + (1.0 - params.theta) / params.kappa_max)
@@ -170,23 +155,23 @@ def _fixed_point(
     """The solver's kernel, for callers that checked ``tol``.
 
     Returns ``(kappa_star, x_star, psi_star, effective_gain, iterations,
-    residual)``; :func:`solve_fixed_point` documents the method.
+    residual)``; :func:`solve_fixed_point` documents the method. A zero
+    seed needs no case of its own: validation keeps ``kappa_max - s > 0``,
+    so ``1-L`` is positive and the start is 0.0.
     """
+    a, theta, gamma, kappa_max = params.a, params.theta, params.gamma, params.kappa_max
     gain = effective_gain(params)
-    scale = params.a * params.gamma * gain
-    seed = scale * params.theta
-    slope = scale * (1.0 - params.theta) / params.kappa_max
+    scale = a * gamma * gain
+    seed = scale * theta
+    slope = scale * (1.0 - theta) / kappa_max
 
-    kappa = 0.0
-    if seed != 0.0:
-        one_minus_slope = ((params.kappa_max - scale) + scale * params.theta) / params.kappa_max
-        kappa = seed / one_minus_slope
+    kappa = seed / (((kappa_max - scale) + scale * theta) / kappa_max)
     iterations = 0
     residual = float("inf")
     previous = float("inf")
     within_tol = False
     while iterations < MAX_ITER:
-        nxt = seed + slope * min(kappa, params.kappa_max)
+        nxt = seed + slope * min(kappa, kappa_max)
         iterations += 1
         residual = abs(nxt - kappa)
         kappa = nxt
@@ -203,8 +188,8 @@ def _fixed_point(
             f"contraction modulus L = {slope:.6g})"
         )
 
-    x_star = participation_fraction(params, kappa)
-    psi_star = success_probability(params.a, params.phi, x_star)
+    x_star = gamma * (theta + (1.0 - theta) * (kappa / kappa_max))
+    psi_star = success_probability(a, params.phi, x_star)
     return kappa, x_star, psi_star, gain, iterations, residual
 
 
@@ -222,17 +207,20 @@ def solve_fixed_point(params: ModelParams, tol: float = DEFAULT_TOL) -> Equilibr
     result is therefore a checked fixed point of the map, reached in a few
     polish steps for every valid parameter set; :data:`MAX_ITER` caps those
     steps, and a run that reaches it raises :class:`ConvergenceError`.
-    ``tol`` must be a number above 0 (NaN is rejected).
+    ``tol`` must be a number above 0 (NaN is rejected). At the threshold
+    found, ``x_star`` is ``gamma*(theta + (1-theta)*kappa_star/kappa_max)``
+    and ``psi_star`` is :func:`~reformgame.model.success_probability` of it.
 
     The iteration lives in the private kernel ``_fixed_point``, which
     ``grid_sweep`` calls directly; this function checks the settings, adds
-    the distance to the closed form and builds the record.
+    the distance to the closed form of ``params.threshold_convention`` and
+    builds the record.
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
 
     kappa, x_star, psi_star, gain, iterations, residual = _fixed_point(params, tol)
-    gap = abs(kappa - closed_form_threshold(params, params.threshold_convention))
+    gap = abs(kappa - closed_form_threshold(params))
     return EquilibriumResult(
         convention=params.threshold_convention,
         kappa_star=kappa,

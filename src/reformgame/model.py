@@ -32,6 +32,7 @@ __all__ = [
     "Beneficiary",
     "ModelParams",
     "GAIN_ALLOCATION",
+    "BOUNDARY_MARGIN",
     "PARAM_RANGES",
     "RELATIONAL_CHECKS",
     "success_probability",

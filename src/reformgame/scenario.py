@@ -37,7 +37,6 @@ import json
 import math
 from dataclasses import dataclass, is_dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -165,7 +164,7 @@ _RUN_SECTION = {
 
 def bundled_path(name: str) -> Path:
     """Filesystem path of a data file shipped with the package."""
-    path = Path(str(resources.files("reformgame") / "data" / name))
+    path = Path(__file__).parent / "data" / name
     if not path.exists():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return path

@@ -20,7 +20,6 @@ from reformgame import (
     equilibrium_report,
     grid_sweep,
     info_acquisition_cost,
-    participation_fraction,
     posterior_change_state,
     solve_fixed_point,
     success_probability,
@@ -35,6 +34,14 @@ from conftest import make_params, random_valid_params
 KAPPA_STAR = 2 / 17
 X_STAR = 4 / 17
 PSI_STAR = 4 / 289
+
+
+def assert_consistent(params, result):
+    """x* is the aggregation at kappa*, and psi* the success probability at
+    x*, bit for bit."""
+    share = params.theta + (1.0 - params.theta) * (result.kappa_star / params.kappa_max)
+    assert result.x_star == params.gamma * share
+    assert result.psi_star == success_probability(params.a, params.phi, result.x_star)
 
 
 class TestBestResponseMap:
@@ -156,13 +163,7 @@ class TestSolveFixedPoint:
         rng = np.random.default_rng(11)
         for _ in range(20):
             params = random_valid_params(rng)
-            result = solve_fixed_point(params)
-            assert result.psi_star == pytest.approx(
-                success_probability(params.a, params.phi, result.x_star), rel=1e-12
-            )
-            assert result.x_star == pytest.approx(
-                participation_fraction(params, result.kappa_star), rel=1e-12
-            )
+            assert_consistent(params, solve_fixed_point(params))
 
     def test_bounds_hold(self):
         rng = np.random.default_rng(13)
@@ -215,26 +216,6 @@ class TestSolveFixedPoint:
             solve_fixed_point(make_params(), tol=0.0)
         with pytest.raises(DomainError, match="^tolerance must be > 0, got nan$"):
             solve_fixed_point(make_params(), tol=math.nan)
-
-
-class TestParticipationFraction:
-    def test_floor_and_ceiling(self):
-        params = make_params()
-        assert participation_fraction(params, 0.0) == pytest.approx(0.16, rel=1e-12)
-        assert participation_fraction(params, params.kappa_max) == pytest.approx(
-            0.8, rel=1e-12
-        )
-
-    def test_hand_value(self):
-        assert participation_fraction(make_params(), KAPPA_STAR) == pytest.approx(
-            X_STAR, rel=1e-12
-        )
-
-    def test_out_of_support_rejected(self):
-        with pytest.raises(DomainError):
-            participation_fraction(make_params(), -0.1)
-        with pytest.raises(DomainError):
-            participation_fraction(make_params(), 1.5)
 
 
 class TestEquilibriumReport:
@@ -397,6 +378,7 @@ class TestEveryModelParams:
         assert all(math.isfinite(v) for v in values), values
         assert 0.0 <= eq.kappa_star <= params.kappa_max
         assert params.gamma * params.theta - 1e-15 <= eq.x_star <= params.gamma + 1e-15
+        assert_consistent(params, eq)
 
     @given(params=any_model_params(), name=st.sampled_from(SWEEPABLE_PARAMETERS))
     @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -45,6 +46,22 @@ BASE_PARAMS_JSON = {
     "G3": 1.0,
     "leader_type": "non-partisan",
 }
+
+
+BUNDLED_FILES = ("bad_gain_bound.json", "bancarization.csv", "bancarization.json",
+                 "baseline.json", "baseline_simulate.json", "baseline_sweep.json")
+
+
+class TestBundledPath:
+    @pytest.mark.parametrize("name", BUNDLED_FILES)
+    def test_the_package_data_file(self, name):
+        path = bundled_path(name)
+        assert path == resources.files("reformgame") / "data" / name
+        assert path.is_file()
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(FileNotFoundError, match="^no bundled data file named 'nope.json'$"):
+            bundled_path("nope.json")
 
 
 def write_json(tmp_path, payload, name="scenario.json"):

@@ -1,6 +1,5 @@
 import gc
 import math
-import pickle
 import re
 from dataclasses import fields, replace
 
@@ -196,17 +195,6 @@ class TestGridSweep:
             assert bool(hit) == any(name in reads for _, reads in RELATIONAL_CHECKS.values())
             seen |= hit
         assert seen == set(RELATIONAL_CHECKS)
-
-    def test_points_equal_constructed_ones(self):
-        series = grid_sweep(make_params(), "theta", [0.0, 0.2, 1.0])
-        for point in series.outputs:
-            made = SweepPoint(
-                kappa_star=point.kappa_star, x_star=point.x_star, psi_star=point.psi_star)
-            assert point == made
-            assert hash(point) == hash(made)
-            assert repr(point) == repr(made)
-            assert pickle.dumps(point) == pickle.dumps(made)
-            assert pickle.loads(pickle.dumps(point)) == made
 
     def test_outputs_align_with_values(self):
         series = grid_sweep(make_params(), "gamma", [0.2, 0.5, 0.8])
