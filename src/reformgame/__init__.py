@@ -7,75 +7,12 @@ sweeps, reads scenario files and writes result files. See the README for the
 model and the CLI.
 """
 
-from .model import (
-    BOUNDARY_MARGIN,
-    Beneficiary,
-    DomainError,
-    GAIN_ALLOCATION,
-    LeaderType,
-    ModelParams,
-    PARAM_RANGES,
-    ParameterError,
-    PosteriorConvention,
-    RELATIONAL_CHECKS,
-    ThresholdConvention,
-    WorldState,
-    info_acquisition_cost,
-    optimal_info_effort,
-    partisan_participation_cost,
-    posterior_change_state,
-    state_probabilities,
-    success_probability,
-    validate_params,
-)
-from .equilibrium import (
-    ConvergenceError,
-    EquilibriumReport,
-    EquilibriumResult,
-    best_response_map,
-    closed_form_threshold,
-    effective_gain,
-    equilibrium_report,
-    solve_fixed_point,
-)
-from .abm import (
-    AbmEstimate,
-    Population,
-    SimOutcome,
-    best_response_cascade,
-    derive_seed,
-    estimate_equilibrium,
-    realize_world,
-    simulate_once,
-    spawn_population,
-)
-from .sweep import (
-    Monotonicity,
-    SuccessResponse,
-    SWEEPABLE_PARAMETERS,
-    SweepPoint,
-    SweepSeries,
-    finite_difference_sensitivity,
-    grid_sweep,
-    monotonicity_check,
-    success_response_series,
-)
-from .scenario import (
-    AbmSettings,
-    BancarizationSeries,
-    CaseDataSettings,
-    CaseTableError,
-    RunKind,
-    Scenario,
-    ScenarioError,
-    ScenarioParseError,
-    ScenarioSchemaError,
-    SweepSettings,
-    bundled_path,
-    ingest_case_table,
-    load_scenario,
-    write_results,
-)
+# The public API is the union of the modules' __all__ lists.
+from .model import *
+from .equilibrium import *
+from .abm import *
+from .sweep import *
+from .scenario import *
 
 __version__ = "0.1.0"
 

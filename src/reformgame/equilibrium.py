@@ -40,7 +40,8 @@ __all__ = [
     "equilibrium_report",
 ]
 
-DEFAULT_TOL = 1e-12
+# The solver's tolerance on a polish step; solve_fixed_point documents it.
+TOL = 1e-12
 # Cap on the solver's polish steps; a valid parameter set needs a handful.
 MAX_ITER = 10_000
 
@@ -108,7 +109,7 @@ def best_response_map(params: ModelParams, kappa: float) -> float:
     kappa_max)/kappa_max)`` and the next-round threshold is ``a * Gamma_eff``
     times that fraction.
     """
-    if kappa < 0.0:
+    if not kappa >= 0.0:  # NaN fails too
         raise DomainError(f"threshold kappa must be >= 0, got {kappa}")
     gain = effective_gain(params)
     clipped = min(kappa, params.kappa_max)
@@ -120,10 +121,8 @@ def best_response_map(params: ModelParams, kappa: float) -> float:
     )
 
 
-def closed_form_threshold(
-    params: ModelParams, convention: ThresholdConvention | None = None
-) -> float:
-    """Closed-form equilibrium threshold under the chosen sign convention.
+def closed_form_threshold(params: ModelParams) -> float:
+    """Closed-form equilibrium threshold under ``params.threshold_convention``.
 
     DERIVED_CONSISTENT solves the participation recursion exactly:
     ``theta / (1/(a*gamma*Gamma_eff) - (1-theta)/kappa_max)``, evaluated as
@@ -133,26 +132,23 @@ def closed_form_threshold(
     participant gain bound keeps ``kappa_max - s > 0``.
     PAPER_LITERAL flips the inner sign to ``+`` as printed in the published
     expression; that variant is increasing in kappa_max, contradicting the
-    stated comparative statics, and is kept for reference only.
+    stated comparative statics, and is kept for reference only. To compare
+    the two forms, call this on ``replace(params, threshold_convention=...)``.
     """
-    if convention is None:
-        convention = params.threshold_convention
     scale = params.a * params.gamma * effective_gain(params)
     if scale == 0.0:
         # A partisan call with no perceived gain (p2 = 0 under the PAPER
         # posterior, p2 = 1 under BAYES). With no followers (theta = 0)
         # both forms below give 0.0 on their own.
         return 0.0
-    if convention is ThresholdConvention.PAPER_LITERAL:
+    if params.threshold_convention is ThresholdConvention.PAPER_LITERAL:
         return params.theta / (1.0 / scale + (1.0 - params.theta) / params.kappa_max)
     share = params.theta * scale / ((params.kappa_max - scale) + scale * params.theta)
     return share * params.kappa_max
 
 
-def _fixed_point(
-    params: ModelParams, tol: float
-) -> tuple[float, float, float, float, int, float]:
-    """The solver's kernel, for callers that checked ``tol``.
+def _fixed_point(params: ModelParams) -> tuple[float, float, float, float, int, float]:
+    """The solver's kernel; it reads :data:`TOL` and :data:`MAX_ITER` at each call.
 
     Returns ``(kappa_star, x_star, psi_star, effective_gain, iterations,
     residual)``; :func:`solve_fixed_point` documents the method. A zero
@@ -175,7 +171,7 @@ def _fixed_point(
         iterations += 1
         residual = abs(nxt - kappa)
         kappa = nxt
-        if residual <= tol * max(1.0, kappa):
+        if residual <= TOL * max(1.0, kappa):
             within_tol = True
             # Keep polishing while each step still strictly improves; this
             # lands on the machine fixed point at negligible extra cost.
@@ -193,7 +189,7 @@ def _fixed_point(
     return kappa, x_star, psi_star, gain, iterations, residual
 
 
-def solve_fixed_point(params: ModelParams, tol: float = DEFAULT_TOL) -> EquilibriumResult:
+def solve_fixed_point(params: ModelParams) -> EquilibriumResult:
     """Solve for the fixed point of the best-response map.
 
     On ``[0, kappa_max]`` the map is affine, ``kappa -> seed + L*kappa``
@@ -202,24 +198,20 @@ def solve_fixed_point(params: ModelParams, tol: float = DEFAULT_TOL) -> Equilibr
     iterates is the fixed point ``seed/(1-L)`` itself. The solver starts
     there, with ``1-L`` written as ``((kappa_max - s) + s*theta)/kappa_max``
     to avoid cancellation, then applies the map until the step falls within
-    ``tol`` (relative to the threshold once it exceeds 1, where the float
-    spacing itself can exceed an absolute ``tol``) and stops shrinking. The
+    :data:`TOL` (relative to the threshold once it exceeds 1, where the float
+    spacing itself can exceed an absolute ``TOL``) and stops shrinking. The
     result is therefore a checked fixed point of the map, reached in a few
     polish steps for every valid parameter set; :data:`MAX_ITER` caps those
-    steps, and a run that reaches it raises :class:`ConvergenceError`.
-    ``tol`` must be a number above 0 (NaN is rejected). At the threshold
-    found, ``x_star`` is ``gamma*(theta + (1-theta)*kappa_star/kappa_max)``
-    and ``psi_star`` is :func:`~reformgame.model.success_probability` of it.
+    steps, and a run that reaches it raises :class:`ConvergenceError`. At
+    the threshold found, ``x_star`` is
+    ``gamma*(theta + (1-theta)*kappa_star/kappa_max)`` and ``psi_star`` is
+    :func:`~reformgame.model.success_probability` of it.
 
     The iteration lives in the private kernel ``_fixed_point``, which
-    ``grid_sweep`` calls directly; this function checks the settings, adds
-    the distance to the closed form of ``params.threshold_convention`` and
-    builds the record.
+    ``grid_sweep`` calls directly; this function adds the distance to the
+    closed form of ``params.threshold_convention`` and builds the record.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
-
-    kappa, x_star, psi_star, gain, iterations, residual = _fixed_point(params, tol)
+    kappa, x_star, psi_star, gain, iterations, residual = _fixed_point(params)
     gap = abs(kappa - closed_form_threshold(params))
     return EquilibriumResult(
         convention=params.threshold_convention,
@@ -239,7 +231,7 @@ def equilibrium_report(params: ModelParams) -> EquilibriumReport:
     The information cost is evaluated at the optimal acquisition effort for
     the majority-state gain; a partisan policy maker also weighs the
     minority-state gain and the larger effort is reported. The equilibrium
-    is that of :func:`solve_fixed_point` at its default tolerance.
+    is that of :func:`solve_fixed_point`.
     """
     result = solve_fixed_point(params)
     effort = optimal_info_effort(params, WorldState.E3)

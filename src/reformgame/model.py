@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from typing import Callable
 
 __all__ = [
@@ -210,6 +211,15 @@ GAIN_ALLOCATION: dict[WorldState, Beneficiary] = {
 }
 
 
+# The choice fields of ModelParams, each with the enum its value must be a
+# member of: a plain string equal to a member's value is not one.
+_CHOICE_FIELDS: dict[str, type[Enum]] = {
+    "leader_type": LeaderType,
+    "threshold_convention": ThresholdConvention,
+    "posterior_convention": PosteriorConvention,
+}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All exogenous quantities of the model.
@@ -352,12 +362,14 @@ def optimal_info_effort(params: ModelParams, state: WorldState) -> float:
 def validate_params(params: ModelParams) -> ModelParams:
     """Check every model invariant and return the parameters unchanged.
 
-    Walks every row of :data:`PARAM_RANGES`, then every row of
-    :data:`RELATIONAL_CHECKS`, in table order, and raises the first failure
-    as a :class:`ParameterError` with a distinct ``constraint`` name: a field
-    outside its range, NaN and infinities included (``field_range``), a
-    leader type inconsistent with its gain profile (``leader_gain_profile``),
-    a participant gain too large for partial participation
+    Walks every row of :data:`PARAM_RANGES`, then the three choice fields,
+    then every row of :data:`RELATIONAL_CHECKS`, in table order, and raises
+    the first failure as a :class:`ParameterError` with a distinct
+    ``constraint`` name: a numeric field that is not a real number or lies
+    outside its range, NaN and infinities included, or a choice field that
+    is not a member of its enum (``field_range``), a leader type
+    inconsistent with its gain profile (``leader_gain_profile``), a
+    participant gain too large for partial participation
     (``participant_gain_bound``), and a policy-maker gain breaking the
     interior information-effort solution (``reformer_gain_bound``).
     Comparisons are exact; the bounds are strict. Constructing a
@@ -367,8 +379,17 @@ def validate_params(params: ModelParams) -> ModelParams:
     """
     for name, (lo, hi, _) in PARAM_RANGES.items():
         value = getattr(params, name)
+        # float and int first: they match without the ABC's slower check.
+        if not isinstance(value, (float, int, Real)):
+            raise ParameterError("field_range", f"{name} must be a real number, got {value!r}")
         if not lo <= value <= hi:
             raise _range_error(name, value)
+    for name, choices in _CHOICE_FIELDS.items():
+        value = getattr(params, name)
+        if not isinstance(value, choices):
+            raise ParameterError(
+                "field_range", f"{name} must be a {choices.__name__} member, got {value!r}"
+            )
     for check, _ in RELATIONAL_CHECKS.values():
         check(params)
     return params

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .equilibrium import DEFAULT_TOL, _fixed_point, closed_form_threshold
+from .equilibrium import _fixed_point, closed_form_threshold
 from .model import (
     PARAM_RANGES,
     RELATIONAL_CHECKS,
@@ -33,7 +33,8 @@ __all__ = [
 # Numeric ModelParams fields a grid may vary.
 SWEEPABLE_PARAMETERS = tuple(PARAM_RANGES)
 
-# Verdicts must not flip on solver noise; the solver tolerance is 1e-12.
+# Verdicts must not flip on solver noise: equilibrium.TOL, the solver's
+# tolerance, is 1e-12.
 MONOTONICITY_TOL = 1e-12
 
 # The base point at which success_response_series holds two inputs fixed.
@@ -114,10 +115,20 @@ def monotonicity_check(series: Sequence[float]) -> Monotonicity:
     return Monotonicity.NON_MONOTONE
 
 
+def _floats(values: Iterable[float], name: str) -> list[float]:
+    """values as floats; DomainError naming them if one has no float (a
+    complex or non-numeric value) or is too large for one."""
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name}: not a real number within float range ({exc})") from None
+
+
 def _grid(values: Iterable[float], name: str) -> list[float]:
-    """values as floats; DomainError naming the grid unless it is non-empty
-    and strictly increasing."""
-    grid = [float(v) for v in values]
+    """values as floats; DomainError naming the grid unless each value is a
+    real number within float range and the grid is non-empty and strictly
+    increasing."""
+    grid = _floats(values, f"{name} value")
     if not grid:
         raise DomainError(f"{name} is empty")
     if any(not b > a for a, b in zip(grid, grid[1:])):  # NaN fails too
@@ -164,12 +175,12 @@ def grid_sweep(
     kappa_star over the retained points.
 
     Each point runs only the checks its varied field can break (see
-    ``_point_builder``) and is solved by the solver's kernel at the default
-    tolerance: its numbers are those of ``solve_fixed_point``, but the
-    ``EquilibriumResult`` and closed-form gap a point would drop are never
-    built. A kept point appends its three floats to the series' columns and
-    builds no record; the garbage collector does not track floats, so a
-    long sweep starts no collection.
+    ``_point_builder``) and is solved by the solver's kernel: its numbers
+    are those of ``solve_fixed_point``, but the ``EquilibriumResult`` and
+    closed-form gap a point would drop are never built. A kept point
+    appends its three floats to the series' columns and builds no record;
+    the garbage collector does not track floats, so a long sweep starts no
+    collection.
     """
     if parameter_name not in SWEEPABLE_PARAMETERS:
         raise DomainError(
@@ -190,7 +201,7 @@ def grid_sweep(
         except ParameterError as exc:
             skipped.append((value, str(exc)))
             continue
-        kappa_star, x_star, psi_star = _fixed_point(params, DEFAULT_TOL)[:3]
+        kappa_star, x_star, psi_star = _fixed_point(params)[:3]
         kept.append(value)
         kappas.append(kappa_star)
         xs.append(x_star)
@@ -271,6 +282,7 @@ def finite_difference_sensitivity(
     """
     if parameter_name not in SWEEPABLE_PARAMETERS:
         raise DomainError(f"unknown sensitivity parameter {parameter_name!r}")
+    (h,) = _floats([h], "step h")
     if not 0.0 < h < math.inf:  # NaN fails too
         raise DomainError(f"step h must be finite and > 0, got {h}")
 

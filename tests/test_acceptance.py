@@ -53,7 +53,7 @@ def test_c01_oracle_equivalence():
                 rng, threshold_convention=ThresholdConvention.DERIVED_CONSISTENT
             )
             gap = abs(
-                solve_fixed_point(params, tol=1e-12).kappa_star
+                solve_fixed_point(params).kappa_star
                 - closed_form_threshold(params)
             )
             worst = max(worst, gap)
@@ -117,7 +117,7 @@ def test_c04_comparative_statics():
         # kappa_max instead.
         literal = [
             closed_form_threshold(
-                replace(base, kappa_max=v), ThresholdConvention.PAPER_LITERAL
+                replace(base, kappa_max=v, threshold_convention=ThresholdConvention.PAPER_LITERAL)
             )
             for v in (1.5, 2.0, 2.5, 3.0)
         ]

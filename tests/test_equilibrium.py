@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,10 @@ class TestBestResponseMap:
         with pytest.raises(DomainError):
             best_response_map(make_params(), -0.01)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(DomainError, match="^threshold kappa must be >= 0, got nan$"):
+            best_response_map(make_params(), math.nan)
+
     def test_saturates_above_kappa_max(self):
         params = make_params()
         assert best_response_map(params, 5.0) == best_response_map(params, params.kappa_max)
@@ -91,12 +96,15 @@ class TestClosedForm:
         assert closed_form_threshold(make_params()) == pytest.approx(KAPPA_STAR, rel=1e-12)
 
     def test_literal_baseline(self):
-        value = closed_form_threshold(make_params(), ThresholdConvention.PAPER_LITERAL)
+        value = closed_form_threshold(
+            replace(make_params(), threshold_convention=ThresholdConvention.PAPER_LITERAL)
+        )
         assert value == pytest.approx(0.2 / 3.3, rel=1e-12)
 
     def test_zero_followers_zero_threshold(self):
         for convention in ThresholdConvention:
-            assert closed_form_threshold(make_params(theta=0.0), convention) == 0.0
+            params = make_params(theta=0.0, threshold_convention=convention)
+            assert closed_form_threshold(params) == 0.0
 
     def test_convention_defaults_to_params(self):
         literal = make_params(threshold_convention=ThresholdConvention.PAPER_LITERAL)
@@ -180,17 +188,18 @@ class TestSolveFixedPoint:
             params = random_valid_params(
                 rng, threshold_convention=ThresholdConvention.DERIVED_CONSISTENT
             )
-            result = solve_fixed_point(params, tol=1e-12)
+            result = solve_fixed_point(params)
             expected = closed_form_threshold(params)
             assert abs(result.kappa_star - expected) <= 1e-11
 
     def test_non_convergence_guard(self, monkeypatch):
         # The first polish step at the baseline moves by ~1e-17, more than
         # the smallest positive tolerance; the second reaches residual 0.
-        assert solve_fixed_point(make_params(), tol=5e-324).residual == 0.0
+        monkeypatch.setattr(equilibrium, "TOL", 5e-324)
+        assert solve_fixed_point(make_params()).residual == 0.0
         monkeypatch.setattr(equilibrium, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="^no fixed point within 1 iterations "):
-            solve_fixed_point(make_params(), tol=5e-324)
+            solve_fixed_point(make_params())
 
     def test_few_polish_steps(self):
         # The solver starts at the affine map's limit, so only the polish
@@ -210,12 +219,6 @@ class TestSolveFixedPoint:
         assert 0.0 < result.kappa_star < params.kappa_max
         assert result.iterations <= 2
         assert result.kappa_star == pytest.approx(closed_form_threshold(params), rel=1e-12)
-
-    def test_bad_solver_settings(self):
-        with pytest.raises(DomainError):
-            solve_fixed_point(make_params(), tol=0.0)
-        with pytest.raises(DomainError, match="^tolerance must be > 0, got nan$"):
-            solve_fixed_point(make_params(), tol=math.nan)
 
 
 class TestEquilibriumReport:
@@ -313,7 +316,7 @@ class TestComparativeStatics:
         # kappa_max, against the stated comparative statics.
         values = [
             closed_form_threshold(
-                make_params(kappa_max=v), ThresholdConvention.PAPER_LITERAL
+                make_params(kappa_max=v, threshold_convention=ThresholdConvention.PAPER_LITERAL)
             )
             for v in (1.5, 2.0, 2.5, 3.0)
         ]

@@ -1,5 +1,7 @@
 import math
 from dataclasses import fields, replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -330,6 +332,35 @@ class TestValidateParams:
         assert err.value.constraint == "field_range"
         (name,) = overrides
         assert str(err.value).startswith(f"field_range: {name} ")
+
+    # Unchecked, a plain string computed the wrong thing ("paper-literal"
+    # gave the derived closed form, "non-partisan" was solved as a partisan),
+    # a Decimal failed in the solver and the other numeric values raised a
+    # bare TypeError.
+    @pytest.mark.parametrize("overrides,kind", [
+        ({"threshold_convention": "paper-literal"}, "a ThresholdConvention member"),
+        ({"leader_type": "non-partisan", "G2": 0.5}, "a LeaderType member"),
+        ({"leader_type": "dictator", "G2": 0.5}, "a LeaderType member"),
+        ({"leader_type": None, "G2": 0.5}, "a LeaderType member"),
+        ({"posterior_convention": "bayes"}, "a PosteriorConvention member"),
+        ({"a": "0.5"}, "a real number"),
+        ({"q": 1j}, "a real number"),
+        ({"w": None}, "a real number"),
+        ({"kappa_max": Decimal("1.0")}, "a real number"),
+    ], ids=["literal-string", "non-partisan-string", "unknown-leader", "no-leader",
+            "bayes-string", "a-string", "q-complex", "w-none", "kappa_max-decimal"])
+    def test_field_types(self, overrides, kind):
+        name = next(iter(overrides))
+        with pytest.raises(ParameterError) as err:
+            make_params(**overrides)
+        assert err.value.constraint == "field_range"
+        assert str(err.value) == (
+            f"field_range: {name} must be {kind}, got {overrides[name]!r}"
+        )
+
+    def test_other_real_types_accepted(self):
+        params = make_params(q=np.int64(1), w=Fraction(1, 2))
+        assert validate_params(params) is params
 
     def test_theta_endpoints_allowed(self):
         validate_params(make_params(theta=0.0))

@@ -399,3 +399,19 @@ class TestFiniteDifferenceSensitivity:
         # d/d theta of theta/(3.5 - theta) at 0.2: (3.3 + 0.2)/3.3^2
         value = finite_difference_sensitivity(literal, "theta", h=1e-6)
         assert value == pytest.approx(3.5 / 3.3**2, rel=1e-6)
+
+
+# The reason in parentheses is Python's own and varies by version.
+@pytest.mark.parametrize("call,name", [
+    (lambda: grid_sweep(make_params(), "q", [10**400]), "sweep grid value"),
+    (lambda: grid_sweep(make_params(), "q", [0.5, 1j]), "sweep grid value"),
+    (lambda: success_response_series([0.5], [2.0 + 0j], [0.5]),
+     "complementarity grid (phi) value"),
+    (lambda: finite_difference_sensitivity(make_params(), "q", 10**400), "step h"),
+    (lambda: finite_difference_sensitivity(make_params(), "q", 1e-6j), "step h"),
+], ids=["int-grid-overflow", "complex-grid", "complex-phi-grid", "int-h-overflow", "complex-h"])
+def test_unconvertible_inputs_rejected_by_name(call, name):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert type(err.value) is DomainError
+    assert str(err.value).startswith(f"{name}: not a real number within float range (")
