@@ -40,14 +40,12 @@ __all__ = [
     "equilibrium_report",
 ]
 
-# The solver's tolerance on a polish step; solve_fixed_point documents it.
-TOL = 1e-12
 # Cap on the solver's polish steps; a valid parameter set needs a handful.
 MAX_ITER = 10_000
 
 
 class ConvergenceError(RuntimeError):
-    """The fixed-point iteration did not reach tolerance within the cap."""
+    """The fixed-point iteration did not settle within the cap."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ def closed_form_threshold(params: ModelParams) -> float:
 
 
 def _fixed_point(params: ModelParams) -> tuple[float, float, float, float, int, float]:
-    """The solver's kernel; it reads :data:`TOL` and :data:`MAX_ITER` at each call.
+    """The solver's kernel; it reads :data:`MAX_ITER` at each call.
 
     Returns ``(kappa_star, x_star, psi_star, effective_gain, iterations,
     residual)``; :func:`solve_fixed_point` documents the method. A zero
@@ -162,23 +160,17 @@ def _fixed_point(params: ModelParams) -> tuple[float, float, float, float, int, 
     slope = scale * (1.0 - theta) / kappa_max
 
     kappa = seed / (((kappa_max - scale) + scale * theta) / kappa_max)
-    iterations = 0
-    residual = float("inf")
     previous = float("inf")
-    within_tol = False
-    while iterations < MAX_ITER:
+    for iterations in range(1, MAX_ITER + 1):
         nxt = seed + slope * min(kappa, kappa_max)
-        iterations += 1
         residual = abs(nxt - kappa)
         kappa = nxt
-        if residual <= TOL * max(1.0, kappa):
-            within_tol = True
-            # Keep polishing while each step still strictly improves; this
-            # lands on the machine fixed point at negligible extra cost.
-            if residual == 0.0 or residual >= previous:
-                break
+        # A step of zero is the machine fixed point; a step no smaller than
+        # the last is rounding noise around it.
+        if residual == 0.0 or residual >= previous:
+            break
         previous = residual
-    if not within_tol:
+    else:
         raise ConvergenceError(
             f"no fixed point within {MAX_ITER} iterations (residual {residual:.3e}, "
             f"contraction modulus L = {slope:.6g})"
@@ -197,15 +189,14 @@ def solve_fixed_point(params: ModelParams) -> EquilibriumResult:
     ``s = a*gamma*Gamma_eff``, so the Aitken delta-squared limit of its
     iterates is the fixed point ``seed/(1-L)`` itself. The solver starts
     there, with ``1-L`` written as ``((kappa_max - s) + s*theta)/kappa_max``
-    to avoid cancellation, then applies the map until the step falls within
-    :data:`TOL` (relative to the threshold once it exceeds 1, where the float
-    spacing itself can exceed an absolute ``TOL``) and stops shrinking. The
-    result is therefore a checked fixed point of the map, reached in a few
-    polish steps for every valid parameter set; :data:`MAX_ITER` caps those
-    steps, and a run that reaches it raises :class:`ConvergenceError`. At
-    the threshold found, ``x_star`` is
-    ``gamma*(theta + (1-theta)*kappa_star/kappa_max)`` and ``psi_star`` is
-    :func:`~reformgame.model.success_probability` of it.
+    to avoid cancellation, then applies the map until a step is zero or no
+    smaller than the one before, so the decision rests on the floats alone,
+    whatever the units of ``kappa_max``. The result is therefore a checked
+    fixed point of the map, reached in a few polish steps for every valid
+    parameter set; :data:`MAX_ITER` caps those steps, and a run that reaches
+    it raises :class:`ConvergenceError`. At the threshold found, ``x_star``
+    is ``gamma*(theta + (1-theta)*kappa_star/kappa_max)`` and ``psi_star``
+    is :func:`~reformgame.model.success_probability` of it.
 
     The iteration lives in the private kernel ``_fixed_point``, which
     ``grid_sweep`` calls directly; this function adds the distance to the

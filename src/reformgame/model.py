@@ -52,6 +52,7 @@ BOUNDARY_MARGIN = 1e-12
 
 _FLOAT_MAX = sys.float_info.max
 _ABOVE_ZERO = math.nextafter(0.0, math.inf)
+_INSIDE_UNIT = f"must lie in [{BOUNDARY_MARGIN}, 1 - {BOUNDARY_MARGIN}]"
 
 # Lowest and highest allowed value of every numeric ModelParams field, in
 # declaration order, with the rule quoted when a value is rejected. Open
@@ -60,15 +61,15 @@ _ABOVE_ZERO = math.nextafter(0.0, math.inf)
 # upper limit), so one chained comparison rejects NaN, +-inf and every
 # out-of-range value.
 PARAM_RANGES: dict[str, tuple[float, float, str]] = {
-    "a": (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, "must lie strictly inside (0.0, 1.0)"),
+    "a": (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, _INSIDE_UNIT),
     "phi": (math.nextafter(1.0, math.inf), _FLOAT_MAX, "must be > 1"),
     "theta": (0.0, 1.0, "must lie in [0.0, 1.0]"),
-    "gamma": (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, "must lie strictly inside (0.0, 1.0)"),
+    "gamma": (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, _INSIDE_UNIT),
     "kappa_max": (_ABOVE_ZERO, _FLOAT_MAX, "must be > 0"),
     "Gamma_gain": (_ABOVE_ZERO, _FLOAT_MAX, "must be > 0"),
     "p1": (0.0, 1.0, "must lie in [0.0, 1.0]"),
     "p2": (0.0, 1.0, "must lie in [0.0, 1.0]"),
-    "s": (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, "must lie strictly inside (0.0, 1.0)"),
+    "s": (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, _INSIDE_UNIT),
     "q": (_ABOVE_ZERO, _FLOAT_MAX, "must be > 0"),
     "w": (0.0, _FLOAT_MAX, "must be >= 0"),
     "G2": (0.0, _FLOAT_MAX, "must be >= 0"),
@@ -242,7 +243,10 @@ class ModelParams:
         threshold_convention: closed form reported for the threshold.
         posterior_convention: belief-update rule after a partisan's call.
 
-    Construction (``dataclasses.replace`` too) calls :func:`validate_params`.
+    Construction (``dataclasses.replace`` too) stores each numeric field
+    that is a real number as a ``float``, so a numpy ``float32`` or an
+    ``int`` is solved in double precision, then calls
+    :func:`validate_params`.
     Instances keep a ``__dict__`` (no ``slots``): sweeps copy it and build
     their points through it, validating only what the varied field can
     break.
@@ -266,6 +270,14 @@ class ModelParams:
     posterior_convention: PosteriorConvention = PosteriorConvention.PAPER
 
     def __post_init__(self) -> None:
+        fields = self.__dict__  # the instance is frozen; write past __setattr__
+        for name in PARAM_RANGES:
+            value = fields[name]
+            if type(value) is not float and isinstance(value, Real):
+                try:
+                    fields[name] = float(value)
+                except OverflowError:
+                    pass  # validate_params rejects it by name
         validate_params(self)
 
 

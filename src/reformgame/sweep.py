@@ -33,10 +33,6 @@ __all__ = [
 # Numeric ModelParams fields a grid may vary.
 SWEEPABLE_PARAMETERS = tuple(PARAM_RANGES)
 
-# Verdicts must not flip on solver noise: equilibrium.TOL, the solver's
-# tolerance, is 1e-12.
-MONOTONICITY_TOL = 1e-12
-
 # The base point at which success_response_series holds two inputs fixed.
 BASE_A, BASE_PHI, BASE_X = 0.5, 2.0, 0.5
 
@@ -86,27 +82,20 @@ class SweepSeries:
 
 def monotonicity_check(series: Sequence[float]) -> Monotonicity:
     """Classify a sequence as strictly increasing, strictly decreasing,
-    constant (all pairwise differences within MONOTONICITY_TOL), or
-    non-monotone.
+    constant, or non-monotone.
 
-    The classification is strict: a tie inside an otherwise rising or
-    falling sequence counts as non-monotone. A singleton is constant. A NaN
-    anywhere is rejected with its index.
+    Each consecutive pair is compared exactly, so a verdict does not depend
+    on the units of the series. The classification is strict: a tie inside
+    an otherwise rising or falling sequence counts as non-monotone. A
+    singleton is constant. A NaN anywhere is rejected with its index.
     """
     if len(series) == 0:
         raise DomainError("cannot classify an empty series")
     for index, value in enumerate(series):
         if value != value:
             raise DomainError(f"cannot classify a series with NaN at index {index}")
-    signs = set()
-    for prev, cur in zip(series, series[1:]):
-        if cur - prev > MONOTONICITY_TOL:
-            signs.add(1)
-        elif prev - cur > MONOTONICITY_TOL:
-            signs.add(-1)
-        else:
-            signs.add(0)
-    if not signs or signs == {0}:
+    signs = {(cur > prev) - (cur < prev) for prev, cur in zip(series, series[1:])}
+    if signs <= {0}:
         return Monotonicity.CONSTANT
     if signs == {1}:
         return Monotonicity.INCREASING

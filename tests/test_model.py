@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -304,6 +305,7 @@ class TestValidateParams:
         "overrides",
         [
             {"a": 0.0},
+            {"a": 1e-13},
             {"a": 1.0},
             {"gamma": 0.0},
             {"gamma": 1.0},
@@ -361,6 +363,18 @@ class TestValidateParams:
     def test_other_real_types_accepted(self):
         params = make_params(q=np.int64(1), w=Fraction(1, 2))
         assert validate_params(params) is params
+
+    @pytest.mark.parametrize("name", NUMERIC_FIELDS)
+    def test_float32_field_stored_as_float(self, name):
+        # Kept as float32, a field warned on the range check's cast of the
+        # largest float and then ran the solve in single precision.
+        value = np.float32(getattr(BASELINE, name))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = make_params(**{name: value})
+            assert type(getattr(params, name)) is float
+            assert solve_fixed_point(params) == solve_fixed_point(
+                make_params(**{name: float(value)}))
 
     def test_theta_endpoints_allowed(self):
         validate_params(make_params(theta=0.0))

@@ -382,6 +382,9 @@ REJECTIONS = [
     rejection("range-violation-before-missing-section",
               edit(edit(SIMULATE, "params", theta=2.0), None, abm=MISSING),
               ParameterError, "field_range", "field_range: theta must lie in [0.0, 1.0], got 2.0"),
+    rejection("inside-boundary-margin", edit(SIMULATE, "params", a=1e-13),
+              ParameterError, "field_range",
+              "field_range: a must lie in [1e-12, 1 - 1e-12], got 1e-13"),
     rejection("sections-before-presence", edit(solve_payload(), None, sweep={"values": []}),
               ScenarioSchemaError, "sweep.parameter_name",
               "missing required field sweep.parameter_name"),

@@ -52,13 +52,13 @@ class TestMonotonicityCheck:
             ([5.0], Monotonicity.CONSTANT),
             # Strict classification: an internal tie is not "increasing".
             ([1.0, 1.0, 2.0], Monotonicity.NON_MONOTONE),
+            # Pairs compare exactly: one float spacing is a step.
+            ([1.0, 1.0 + 2**-52], Monotonicity.INCREASING),
+            ([1.0, 1.0 + 1e-14, 1.0 - 1e-14], Monotonicity.NON_MONOTONE),
         ],
     )
     def test_verdicts(self, series, verdict):
         assert monotonicity_check(series) is verdict
-
-    def test_differences_within_tolerance_collapse(self):
-        assert monotonicity_check([1.0, 1.0 + 1e-14, 1.0 - 1e-14]) is Monotonicity.CONSTANT
 
     def test_empty_series_rejected(self):
         with pytest.raises(DomainError):
@@ -107,6 +107,28 @@ class TestGridSweep:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(DomainError):
             grid_sweep(make_params(), "zeta", [0.1, 0.2])
+
+    @pytest.mark.parametrize("k", [-60, -40, 40, 60])
+    def test_verdicts_do_not_depend_on_cost_units(self, k):
+        # Criterion 4's grids with kappa_max and Gamma_gain in other units.
+        # A power-of-two scale is exact, so every kappa_star scales exactly
+        # and every verdict must stay the one at unit scale.
+        grids = {
+            "theta": [i / 10 for i in range(1, 10)],
+            "gamma": [0.1, 0.3, 0.5, 0.7, 0.9],
+            "Gamma_gain": [0.5, 1.0, 1.5, 2.0],
+            "a": [0.1, 0.3, 0.5, 0.7, 0.9],
+            "kappa_max": [1.5, 2.0, 2.5, 3.0],
+        }
+        unit = 2.0**k
+        scaled_base = make_params(kappa_max=unit, Gamma_gain=unit)
+        for name, grid in grids.items():
+            expected = grid_sweep(make_params(), name, grid)
+            if name in ("kappa_max", "Gamma_gain"):
+                grid = [value * unit for value in grid]
+            series = grid_sweep(scaled_base, name, grid)
+            assert series.monotonicity is expected.monotonicity, name
+            assert series.kappa_star == tuple(kappa * unit for kappa in expected.kappa_star)
 
     def test_grid_must_strictly_increase(self):
         with pytest.raises(DomainError):
