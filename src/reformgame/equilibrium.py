@@ -26,7 +26,6 @@ from .model import (
     optimal_info_effort,
     partisan_participation_cost,
     posterior_change_state,
-    success_probability,
 )
 
 __all__ = [
@@ -85,13 +84,21 @@ class EquilibriumReport:
     partisan_cost: float
 
 
+# The numeric fields effective_gain reads, by leader type.
+_GAIN_FIELDS: dict[LeaderType, tuple[str, ...]] = {
+    LeaderType.NON_PARTISAN: ("Gamma_gain",),
+    LeaderType.PARTISAN: ("Gamma_gain", "s", "p2"),
+}
+
+
 def effective_gain(params: ModelParams) -> float:
     """Participation gain as perceived by a reached non-follower.
 
     A non-partisan policy maker only calls in the majority-benefiting
     state, so the gain is ``Gamma_gain`` outright. A partisan also calls
     in the minority state, so the gain is discounted by the posterior
-    belief that the state benefits the majority.
+    belief that the state benefits the majority; only then does the gain
+    read ``s`` and ``p2`` (see ``_GAIN_FIELDS``).
     """
     if params.leader_type is LeaderType.NON_PARTISAN:
         return params.Gamma_gain
@@ -145,17 +152,24 @@ def closed_form_threshold(params: ModelParams) -> float:
     return share * params.kappa_max
 
 
-def _fixed_point(params: ModelParams) -> tuple[float, float, float, float, int, float]:
-    """The solver's kernel; it reads :data:`MAX_ITER` at each call.
+# The fields _fixed_point takes after scale = a*gamma*Gamma_eff, in its
+# argument order.
+_KERNEL_FIELDS = ("theta", "kappa_max", "gamma", "a", "phi")
 
-    Returns ``(kappa_star, x_star, psi_star, effective_gain, iterations,
-    residual)``; :func:`solve_fixed_point` documents the method. A zero
-    seed needs no case of its own: validation keeps ``kappa_max - s > 0``,
-    so ``1-L`` is positive and the start is 0.0.
+
+def _fixed_point(
+    scale: float, theta: float, kappa_max: float, gamma: float, a: float, phi: float
+) -> tuple[float, float, float, int, float]:
+    """The solver's kernel, on floats; it reads :data:`MAX_ITER` at each call.
+
+    ``scale`` is ``a*gamma*Gamma_eff``. Returns ``(kappa_star, x_star,
+    psi_star, iterations, residual)``; :func:`solve_fixed_point` documents
+    the method. The caller passes the fields of a valid parameter set, so
+    ``psi_star`` is ``a * x_star**phi / phi``, the expression of
+    :func:`~reformgame.model.success_probability`, without its domain
+    checks. A zero seed needs no case of its own: validation keeps
+    ``kappa_max - scale > 0``, so ``1-L`` is positive and the start is 0.0.
     """
-    a, theta, gamma, kappa_max = params.a, params.theta, params.gamma, params.kappa_max
-    gain = effective_gain(params)
-    scale = a * gamma * gain
     seed = scale * theta
     slope = scale * (1.0 - theta) / kappa_max
 
@@ -177,8 +191,7 @@ def _fixed_point(params: ModelParams) -> tuple[float, float, float, float, int, 
         )
 
     x_star = gamma * (theta + (1.0 - theta) * (kappa / kappa_max))
-    psi_star = success_probability(a, params.phi, x_star)
-    return kappa, x_star, psi_star, gain, iterations, residual
+    return kappa, x_star, a * x_star**phi / phi, iterations, residual
 
 
 def solve_fixed_point(params: ModelParams) -> EquilibriumResult:
@@ -198,11 +211,20 @@ def solve_fixed_point(params: ModelParams) -> EquilibriumResult:
     is ``gamma*(theta + (1-theta)*kappa_star/kappa_max)`` and ``psi_star``
     is :func:`~reformgame.model.success_probability` of it.
 
-    The iteration lives in the private kernel ``_fixed_point``, which
-    ``grid_sweep`` calls directly; this function adds the distance to the
-    closed form of ``params.threshold_convention`` and builds the record.
+    This function computes ``Gamma_eff`` and ``s`` and hands the floats to
+    the private kernel ``_fixed_point``, which ``grid_sweep`` calls too;
+    then it adds the distance to the closed form of
+    ``params.threshold_convention`` and builds the record.
     """
-    kappa, x_star, psi_star, gain, iterations, residual = _fixed_point(params)
+    gain = effective_gain(params)
+    kappa, x_star, psi_star, iterations, residual = _fixed_point(
+        params.a * params.gamma * gain,
+        params.theta,
+        params.kappa_max,
+        params.gamma,
+        params.a,
+        params.phi,
+    )
     gap = abs(kappa - closed_form_threshold(params))
     return EquilibriumResult(
         convention=params.threshold_convention,

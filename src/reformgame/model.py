@@ -77,12 +77,19 @@ PARAM_RANGES: dict[str, tuple[float, float, str]] = {
 }
 
 
-def _range_error(name: str, value: float) -> ParameterError:
-    """The ``field_range`` error for a value outside its PARAM_RANGES row."""
+def _range_message(name: str, value: float) -> str:
+    """The message of the ``field_range`` error for a value outside its
+    PARAM_RANGES row; a sweep reports a skipped point with it without
+    raising."""
     rule = PARAM_RANGES[name][2]
     if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         rule = "must be a finite number"
-    return ParameterError("field_range", f"{name} {rule}, got {value}")
+    return f"{name} {rule}, got {value}"
+
+
+def _range_error(name: str, value: float) -> ParameterError:
+    """The ``field_range`` error for a value outside its PARAM_RANGES row."""
+    return ParameterError("field_range", _range_message(name, value))
 
 
 def _leader_gain_profile(params: ModelParams) -> None:

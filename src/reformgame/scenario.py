@@ -348,23 +348,34 @@ def load_scenario(path: str | Path, **param_overrides: Any) -> Scenario:
 
 _RECORDS = (EquilibriumResult, AbmEstimate, BancarizationSeries)
 
-# A sweep's written keys: its columns are written point by point, as outputs.
+# A sweep's written keys, and the columns each kept point is written with.
 _SWEEP_KEYS = ("parameter_name", "values", "outputs", "monotonicity", "target", "skipped")
+_POINT_COLUMNS = ("kappa_star", "x_star", "psi_star")
+
+
+def _points(series: SweepSeries) -> list[dict[str, float]]:
+    """A sweep's kept points, one dict of its three columns each."""
+    columns = (getattr(series, name) for name in _POINT_COLUMNS)
+    return [dict(zip(_POINT_COLUMNS, point)) for point in zip(*columns)]
 
 
 def _json(value: Any) -> Any:
     """value as JSON data: floats at 12 significant digits, so that JSON and
-    CSV report identical values; a sweep series by its written keys;
-    dataclasses as objects of their fields in declaration order (a plain
-    dataclass's instance dict); enums by value."""
+    CSV report identical values; a sweep series by its written keys, with
+    ``outputs`` zipped from its columns; dataclasses as objects of their
+    fields in declaration order (a plain dataclass's instance dict); enums
+    by value."""
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, (list, tuple)):
         return [_json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
     if isinstance(value, SweepSeries):
-        return {key: _json(getattr(value, key)) for key in _SWEEP_KEYS}
+        return {key: _json(_points(value) if key == "outputs" else getattr(value, key))
+                for key in _SWEEP_KEYS}
     if is_dataclass(value):
-        return {name: _json(item) for name, item in vars(value).items()}
+        return _json(vars(value))
     if isinstance(value, Enum):
         return value.value
     return value
@@ -373,8 +384,8 @@ def _json(value: Any) -> Any:
 def _rows(result: Any) -> list[dict[str, Any]]:
     """A result's CSV rows: one per record, or per kept sweep point."""
     if isinstance(result, SweepSeries):
-        return [{"parameter": result.parameter_name, "value": value, **vars(point)}
-                for value, point in zip(result.values, result.outputs)]
+        return [{"parameter": result.parameter_name, "value": value, **point}
+                for value, point in zip(result.values, _points(result))]
     records = result if isinstance(result, (list, tuple)) else [result]
     if not records or not all(isinstance(record, _RECORDS) for record in records):
         raise TypeError(f"no writer for results of type {type(result).__name__}")

@@ -7,7 +7,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .equilibrium import _fixed_point, closed_form_threshold
+from .equilibrium import (
+    _GAIN_FIELDS,
+    _KERNEL_FIELDS,
+    _fixed_point,
+    closed_form_threshold,
+    effective_gain,
+)
 from .model import (
     PARAM_RANGES,
     RELATIONAL_CHECKS,
@@ -15,6 +21,7 @@ from .model import (
     ModelParams,
     ParameterError,
     _range_error,
+    _range_message,
     success_probability,
 )
 
@@ -46,7 +53,9 @@ class Monotonicity(str, Enum):
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One kept grid point's equilibrium, as ``SweepSeries.outputs`` views it."""
+    """One kept grid point's equilibrium, as ``SweepSeries.outputs`` views it.
+
+    Nothing in the package reads it: it stays for the benchmark's check."""
 
     kappa_star: float
     x_star: float
@@ -75,8 +84,10 @@ class SweepSeries:
 
     @property
     def outputs(self) -> tuple[SweepPoint, ...]:
-        """The columns as one SweepPoint per kept point, built on each read:
-        result files write a sweep this way, and the benchmark's check reads it."""
+        """The columns as one SweepPoint per kept point, built on each read.
+
+        The result writers zip the columns instead; this view stays because
+        the benchmark's check reads it."""
         return tuple(map(SweepPoint, self.kappa_star, self.x_star, self.psi_star))
 
 
@@ -134,7 +145,9 @@ def _point_builder(base: ModelParams, parameter_name: str) -> Callable[[float], 
     the :data:`RELATIONAL_CHECKS` rows that read the field, in table order.
     Every other check reads only the base's values, which passed, so the
     result equals ``ModelParams(**fields)``, with the same hash and repr, or
-    raises exactly what it raises, message included.
+    raises exactly what it raises, message included. ``grid_sweep`` checks
+    the range row itself, without raising, and calls this only for a field
+    that a relational check or ``effective_gain`` reads.
     """
     fields = dict(vars(base))
     lo, hi, _ = PARAM_RANGES[parameter_name]
@@ -163,10 +176,20 @@ def grid_sweep(
     valid point at all is an error. The monotonicity verdict applies to
     kappa_star over the retained points.
 
-    Each point runs only the checks its varied field can break (see
-    ``_point_builder``) and is solved by the solver's kernel: its numbers
-    are those of ``solve_fixed_point``, but the ``EquilibriumResult`` and
-    closed-form gap a point would drop are never built. A kept point
+    A point computes only what its varied field changes, and its numbers
+    are those of ``solve_fixed_point`` bit for bit:
+
+    - it checks the field's :data:`PARAM_RANGES` row without raising;
+    - it builds a ``ModelParams`` (see ``_point_builder``) only when a
+      :data:`RELATIONAL_CHECKS` row or ``effective_gain`` reads the field;
+    - ``effective_gain`` and ``scale = a*gamma*Gamma_eff`` are computed once
+      per sweep unless the field feeds them (``a``, ``gamma``,
+      ``Gamma_gain``, and ``s`` and ``p2`` for a partisan);
+    - the solver's kernel runs once per kept point, or once per sweep when
+      it reads none of the field's effects (``p1``, ``q``, ``w``, ``G2``,
+      ``G3``, and ``s`` and ``p2`` for a non-partisan).
+
+    No ``EquilibriumResult`` or closed-form gap is built. A kept point
     appends its three floats to the series' columns and builds no record;
     the garbage collector does not track floats, so a long sweep starts no
     collection.
@@ -178,19 +201,40 @@ def grid_sweep(
         )
     grid = _grid(values, "sweep grid")
 
-    build = _point_builder(base, parameter_name)
+    lo, hi, _ = PARAM_RANGES[parameter_name]
+    feeds_gain = parameter_name in _GAIN_FIELDS[base.leader_type]
+    feeds_scale = feeds_gain or parameter_name in ("a", "gamma")
+    checked = feeds_gain or any(parameter_name in reads for _, reads in RELATIONAL_CHECKS.values())
+    build = _point_builder(base, parameter_name) if checked else None
+    # The kernel's arguments at the base; a point overwrites what it changes.
+    gain = effective_gain(base)
+    args = [base.a * base.gamma * gain, *(getattr(base, name) for name in _KERNEL_FIELDS)]
+    slot = _KERNEL_FIELDS.index(parameter_name) + 1 if parameter_name in _KERNEL_FIELDS else 0
+    solved = None if slot or feeds_gain else _fixed_point(*args)[:3]
+
     kept: list[float] = []
     kappas: list[float] = []
     xs: list[float] = []
     psis: list[float] = []
     skipped: list[tuple[float, str]] = []
     for value in grid:
-        try:
-            params = build(value)
-        except ParameterError as exc:
-            skipped.append((value, str(exc)))
+        if not lo <= value <= hi:
+            # The text of the error the ModelParams constructor would raise.
+            skipped.append((value, f"field_range: {_range_message(parameter_name, value)}"))
             continue
-        kappa_star, x_star, psi_star = _fixed_point(params)[:3]
+        if build is not None:
+            try:
+                params = build(value)
+            except ParameterError as exc:
+                skipped.append((value, str(exc)))
+                continue
+            if feeds_gain:
+                gain = effective_gain(params)
+        if slot:
+            args[slot] = value
+        if feeds_scale:
+            args[0] = args[4] * args[3] * gain  # a * gamma * gain, as the solver forms it
+        kappa_star, x_star, psi_star = solved or _fixed_point(*args)[:3]
         kept.append(value)
         kappas.append(kappa_star)
         xs.append(x_star)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from reformgame import (
     LeaderType,
@@ -15,6 +17,11 @@ from reformgame import (
     ThresholdConvention,
 )
 from reformgame.model import RELATIONAL_CHECKS
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
+# blob that replays a failure, so a failure seen in CI reproduces locally.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Canonical parameter set used across the suite; its equilibrium has the
 # closed form kappa* = 0.2 / (1/(0.5*0.8*1) - 0.8) = 2/17.

@@ -14,6 +14,7 @@ from reformgame import (
     ModelParams,
     Monotonicity,
     ParameterError,
+    PosteriorConvention,
     ThresholdConvention,
     closed_form_threshold,
     finite_difference_sensitivity,
@@ -103,6 +104,25 @@ class TestGridSweep:
         with pytest.raises(ParameterError) as err:
             grid_sweep(make_params(), "Gamma_gain", [2.6, 3.0])
         assert err.value.constraint == "sweep_grid"
+
+    @pytest.mark.parametrize("name,grid,first", [
+        ("Gamma_gain", [-1.0, 2.6], "field_range: Gamma_gain must be > 0, got -1.0"),
+        ("theta", [1.5, 2.0], "field_range: theta must lie in [0.0, 1.0], got 1.5"),
+        # Fields the solver's kernel does not read, which a sweep solves once.
+        ("w", [-math.inf, -1.0], "field_range: w must be a finite number, got -inf"),
+        ("q", [-1.0, 0.1], "field_range: q must be > 0, got -1.0"),
+        ("G3", [4.0, 5.0],
+         "reformer_gain_bound: G3 must be < q/((1-p1)*a*gamma) = 3.5714285714285716, got 4.0"),
+        ("G2", [1.0, 2.0], "leader_gain_profile: a non-partisan policy maker "
+         "requires G2 = 0 and G3 > 0, got G2 = 1.0, G3 = 1.0"),
+        ("s", [0.0, 1.0], "field_range: s must lie in [1e-12, 1 - 1e-12], got 0.0"),
+    ])
+    def test_all_invalid_grid_names_the_first_rejection(self, name, grid, first):
+        with pytest.raises(ParameterError) as err:
+            grid_sweep(make_params(), name, grid)
+        assert err.value.constraint == "sweep_grid"
+        assert str(err.value) == (
+            f"sweep_grid: no valid grid point for {name}; first rejection: {first}")
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(DomainError):
@@ -218,6 +238,27 @@ class TestGridSweep:
             seen |= hit
         assert seen == set(RELATIONAL_CHECKS)
 
+    @pytest.mark.parametrize("base,name", [
+        (BASELINE, "w"), (BASELINE, "q"), (BASELINE, "p1"), (BASELINE, "G3"),
+        (BASELINE, "s"), (BASELINE, "p2"), (TIGHT_PARTISAN, "G2"), (TIGHT_PARTISAN, "G3"),
+        (TIGHT_PARTISAN, "w"),
+    ])
+    @pytest.mark.parametrize("points", [1, 2, 101])
+    def test_fields_the_kernel_does_not_read_solve_once(self, monkeypatch, base, name, points):
+        kernel = count_calls(monkeypatch, "_fixed_point", owner="equilibrium")
+        center = getattr(base, name)
+        grid = [center * (1.0 + i / 1000) for i in range(points)]
+        series = grid_sweep(base, name, grid)
+        assert len(series.values) == points
+        assert len(kernel) == 1
+        assert set(series.kappa_star) == {solve_fixed_point(base).kappa_star}
+
+    def test_theta_sweep_computes_the_gain_once(self, monkeypatch):
+        gains = count_calls(monkeypatch, "effective_gain", owner="equilibrium")
+        series = grid_sweep(TIGHT_PARTISAN, "theta", [i / 100 for i in range(101)])
+        assert len(series.values) == 101
+        assert len(gains) == 1
+
     def test_outputs_align_with_values(self):
         series = grid_sweep(make_params(), "gamma", [0.2, 0.5, 0.8])
         assert len(series.outputs) == len(series.values)
@@ -297,6 +338,68 @@ class TestPointBuilder:
         # The builder copies vars(base) and fills a fresh instance's dict.
         assert "__slots__" not in vars(ModelParams)
         assert list(vars(BASELINE)) == [f.name for f in fields(ModelParams)]
+
+
+def _loop_sweep(base, name, grid):
+    """What grid_sweep must return, from the constructor and the solver at
+    each value: the kept values, their solved columns and the skipped points."""
+    values, columns, skipped = [], [], []
+    for value in grid:
+        try:
+            params = ModelParams(**{**vars(base), name: value})
+        except ParameterError as exc:
+            skipped.append((value, str(exc)))
+            continue
+        eq = solve_fixed_point(params)
+        values.append(value)
+        columns.append((eq.kappa_star, eq.x_star, eq.psi_star))
+    return values, columns, skipped
+
+
+@st.composite
+def sweep_grids(draw, name, leader_type):
+    """A random valid base of the leader type and either convention of each
+    kind, with a grid over one field: a doubling ladder about the base
+    value, which crosses a gain bound drawn at most 0.95 of the way to it;
+    both ends of the field's range and the float past each; and a few
+    values from anywhere."""
+    base = random_valid_params(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        leader_type=leader_type,
+        threshold_convention=draw(st.sampled_from(ThresholdConvention)),
+        posterior_convention=draw(st.sampled_from(PosteriorConvention)),
+    )
+    lo, hi, _ = PARAM_RANGES[name]
+    center = getattr(base, name)
+    grid = {center * 2.0**k for k in range(-6, 7)}
+    grid |= {lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)}
+    grid |= set(draw(st.lists(_sweep_values(lo, hi, center), max_size=8)))
+    return base, sorted(value for value in grid if value == value)
+
+
+class TestGridSweepEquivalence:
+    @pytest.mark.parametrize("leader_type", list(LeaderType))
+    @pytest.mark.parametrize("name", SWEEPABLE_PARAMETERS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_same_as_a_loop_of_constructor_and_solver(self, name, leader_type, data):
+        # Covers every field under both conventions of each kind, partisan
+        # s and p2 sweeps under the BAYES posterior included.
+        base, grid = data.draw(sweep_grids(name, leader_type))
+        values, columns, skipped = _loop_sweep(base, name, grid)
+        if not values:
+            with pytest.raises(ParameterError) as err:
+                grid_sweep(base, name, grid)
+            assert str(err.value) == (f"sweep_grid: no valid grid point for {name}; "
+                                      f"first rejection: {skipped[0][1]}")
+            return
+        series = grid_sweep(base, name, grid)
+        assert [v.hex() for v in series.values] == [v.hex() for v in values]
+        got = zip(series.kappa_star, series.x_star, series.psi_star)
+        assert [[v.hex() for v in point] for point in got] == [
+            [v.hex() for v in point] for point in columns]
+        assert series.skipped == tuple(skipped)
+        assert series.monotonicity is monotonicity_check([point[0] for point in columns])
 
 
 class TestSuccessResponseSeries:
