@@ -80,6 +80,25 @@ def _integer(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _population_size(n: int) -> int:
+    """n, an integer; DomainError naming it unless numpy can describe an array of n."""
+    if not 1 <= n <= _MAX_ARRAY:
+        raise DomainError(f"population size n must lie in [1, {_MAX_ARRAY}], got {n}")
+    return n
+
+
+def _estimate_sizes(n, replications, seed) -> tuple[int, int, int]:
+    """An estimate's arguments as ints, checked; ``AbmSettings`` runs this too."""
+    n = _integer(n, "n")
+    replications = _integer(replications, "replications")
+    seed = _integer(seed, "seed")
+    if n < 1000:
+        raise DomainError(f"need at least 1000 agents per replication, got {n}")
+    if not 2 <= replications <= _MAX_ARRAY:
+        raise DomainError(f"replications must lie in [2, {_MAX_ARRAY}], got {replications}")
+    return _population_size(n), replications, seed
+
+
 def _generator_seed(seed) -> int:
     """seed as an int numpy's generator takes; DomainError naming it otherwise."""
     seed = _integer(seed, "seed")
@@ -149,9 +168,7 @@ def spawn_population(
     """
     import numpy as np
 
-    n = _integer(n, "population size n")
-    if not 1 <= n <= _MAX_ARRAY:
-        raise DomainError(f"population size n must lie in [1, {_MAX_ARRAY}], got {n}")
+    n = _population_size(_integer(n, "population size n"))
     seed = _generator_seed(seed)
     if out is not None and out.cost.size != n:
         raise DomainError(
@@ -341,20 +358,14 @@ def estimate_equilibrium(
     game with the call issued and the majority-benefiting state forced, so
     the estimate targets the analytic fixed point. Replication seeds derive
     deterministically from the master seed; results aggregate in
-    replication order. An ``n``, ``replications`` or ``seed`` that is not
-    an integer raises ``DomainError`` naming it, as does a replication count
-    numpy cannot describe or allocate as an array. Any integer seed is
-    accepted, negative ones included: replication seeds take it modulo 2**64.
+    replication order. ``_estimate_sizes`` checks the arguments first, and
+    a replication count whose results do not fit in memory raises
+    ``DomainError``. Any integer seed is accepted, negative ones included:
+    replication seeds take it modulo 2**64.
     """
     import numpy as np
 
-    n = _integer(n, "n")
-    replications = _integer(replications, "replications")
-    seed = _integer(seed, "seed")
-    if n < 1000:
-        raise DomainError(f"need at least 1000 agents per replication, got {n}")
-    if not 2 <= replications <= _MAX_ARRAY:
-        raise DomainError(f"replications must lie in [2, {_MAX_ARRAY}], got {replications}")
+    n, replications, seed = _estimate_sizes(n, replications, seed)
     try:
         fractions = np.empty(replications)
     except MemoryError:

@@ -1,27 +1,28 @@
 """Command-line entry point.
 
 Subcommands: solve, simulate, sweep, validate, case-data. Every run is
-driven by a scenario file; each command takes only the flags it reads.
-Human-readable summaries go to stdout, machine output only to --out. Exit
-codes: 0 success, 1 model-parameter violation, 2 I/O, scenario-file or
-usage problem, 3 solver failure.
+driven by a scenario file; each command takes only the flags it reads. The
+loader applies the flags and every check a run needs, so validate is the
+loader alone and a handler only computes and prints. Human-readable
+summaries go to stdout, machine output only to --out. Exit codes: 0
+success, 1 model-parameter violation, 2 I/O, scenario-file or usage
+problem, 3 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-from typing import Any
 
 from .abm import AbmEstimate, estimate_equilibrium
 from .equilibrium import ConvergenceError, EquilibriumResult, equilibrium_report
 from .model import DomainError, PosteriorConvention, ThresholdConvention
 from .scenario import (
+    _OVERRIDABLE,
     BancarizationSeries,
+    RunKind,
     Scenario,
     ScenarioError,
-    ScenarioSchemaError,
     ingest_case_table,
     load_scenario,
     write_results,
@@ -40,20 +41,18 @@ def build_parser() -> argparse.ArgumentParser:
     files.add_argument("--out", help="write machine-readable results to this path")
     files.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format for --out (default csv)")
+    # Each flag that overrides a scenario field stores under the field's name.
     conventions = argparse.ArgumentParser(add_help=False)
-    conventions.add_argument(
-        "--convention",
-        choices=tuple(c.value for c in ThresholdConvention),
-        help="override the threshold convention",
-    )
-    conventions.add_argument(
-        "--posterior",
-        choices=tuple(c.value for c in PosteriorConvention),
-        help="override the posterior convention",
-    )
+    conventions.add_argument("--convention", dest="threshold_convention",
+                             choices=tuple(c.value for c in ThresholdConvention),
+                             help="override the threshold convention")
+    conventions.add_argument("--posterior", dest="posterior_convention",
+                             choices=tuple(c.value for c in PosteriorConvention),
+                             help="override the posterior convention")
     monte_carlo = argparse.ArgumentParser(add_help=False)
     monte_carlo.add_argument("--seed", type=int, help="override the scenario's master seed")
-    monte_carlo.add_argument("--agents", type=int, help="agents per replication")
+    monte_carlo.add_argument("--agents", dest="n", metavar="AGENTS", type=int,
+                             help="agents per replication")
     monte_carlo.add_argument("--replications", type=int, help="number of replications")
 
     parser = argparse.ArgumentParser(
@@ -72,43 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("case-data", _cmd_case_data, [files], "ingest a banked-payroll case table"),
     ):
         command = sub.add_parser(name, parents=parents, help=help_text)
-        command.set_defaults(handler=handler, command_parser=command)
+        run = None if name == "validate" else RunKind(name)  # None: the file's run
+        command.set_defaults(handler=handler, command_parser=command, run=run)
     return parser
 
 
-def _param_overrides(args: argparse.Namespace) -> dict[str, Any]:
-    """The convention flags as ModelParams fields, applied when the scenario loads."""
-    overrides: dict[str, Any] = {}
-    if getattr(args, "convention", None):
-        overrides["threshold_convention"] = ThresholdConvention(args.convention)
-    if getattr(args, "posterior", None):
-        overrides["posterior_convention"] = PosteriorConvention(args.posterior)
-    return overrides
-
-
-def _abm_settings(scenario: Scenario, args: argparse.Namespace) -> tuple[int, int, int]:
-    base = scenario.abm
-    n = args.agents if args.agents is not None else (base.n if base else None)
-    reps = args.replications if args.replications is not None else (
-        base.replications if base else None
-    )
-    seed = args.seed if args.seed is not None else (base.seed if base else None)
-    missing = [name for name, v in (("--agents", n), ("--replications", reps), ("--seed", seed))
-               if v is None]
-    if missing:
-        raise ScenarioSchemaError(
-            "abm",
-            "scenario has no abm section; supply " + ", ".join(missing),
-        )
-    return n, reps, seed
-
-
-def _cmd_validate(scenario: Scenario, args: argparse.Namespace) -> None:
+def _cmd_validate(scenario: Scenario) -> None:
     print(f"scenario '{scenario.label}': parameters valid "
           f"({scenario.params.leader_type.value} policy maker, run = {scenario.run.value})")
 
 
-def _cmd_solve(scenario: Scenario, args: argparse.Namespace) -> EquilibriumResult:
+def _cmd_solve(scenario: Scenario) -> EquilibriumResult:
     report = equilibrium_report(scenario.params)
     eq = report.equilibrium
     print(
@@ -126,20 +99,18 @@ def _cmd_solve(scenario: Scenario, args: argparse.Namespace) -> EquilibriumResul
     return eq
 
 
-def _cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> AbmEstimate:
-    n, reps, seed = _abm_settings(scenario, args)
-    est = estimate_equilibrium(scenario.params, n=n, replications=reps, seed=seed)
+def _cmd_simulate(scenario: Scenario) -> AbmEstimate:
+    est = estimate_equilibrium(scenario.params, **vars(scenario.abm))
     print(
-        f"simulated {reps} x {n} agents: mean_x = {est.mean_x:.6f} "
+        f"simulated {est.replications} x {est.agents_per_replication} agents: "
+        f"mean_x = {est.mean_x:.6f} "
         f"(stderr {est.stderr_x:.2g}), analytic x_star = {est.analytic_x:.6f}, "
         f"gap = {est.abs_gap:.6f}, success rate = {est.mean_success_rate:.3f}"
     )
     return est
 
 
-def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> SweepSeries:
-    if scenario.sweep is None:
-        raise ScenarioSchemaError("sweep", "scenario has no sweep section")
+def _cmd_sweep(scenario: Scenario) -> SweepSeries:
     series = grid_sweep(scenario.params, scenario.sweep.parameter_name,
                         scenario.sweep.values)
     print(
@@ -151,14 +122,8 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> SweepSeries:
     return series
 
 
-def _cmd_case_data(scenario: Scenario,
-                   args: argparse.Namespace) -> tuple[BancarizationSeries, ...]:
-    if scenario.case_data is None:
-        raise ScenarioSchemaError("case_data", "scenario has no case_data section")
-    data_path = Path(scenario.case_data.path)
-    if not data_path.is_absolute():
-        data_path = Path(args.scenario).parent / data_path
-    rows = ingest_case_table(data_path)
+def _cmd_case_data(scenario: Scenario) -> tuple[BancarizationSeries, ...]:
+    rows = ingest_case_table(scenario.case_data.path)
     for row in rows:
         print(
             f"{row.year}: {row.banked_count} / {row.total_active} banked "
@@ -179,8 +144,10 @@ def run_command(argv: list[str]) -> int:
         return EXIT_OK if code == 0 else EXIT_IO
 
     try:
-        scenario = load_scenario(args.scenario, **_param_overrides(args))
-        result = args.handler(scenario, args)
+        overrides = {name: getattr(args, name) for name in _OVERRIDABLE
+                     if getattr(args, name, None) is not None}
+        scenario = load_scenario(args.scenario, args.run, **overrides)
+        result = args.handler(scenario)
         if args.out and result is not None:  # validate has no record
             write_results(result, args.out, args.format)
     except DomainError as exc:  # includes ParameterError

@@ -140,16 +140,22 @@ def closed_form_threshold(params: ModelParams) -> float:
     stated comparative statics, and is kept for reference only. To compare
     the two forms, call this on ``replace(params, threshold_convention=...)``.
     """
-    scale = params.a * params.gamma * effective_gain(params)
+    return _closed_form(params.a * params.gamma * effective_gain(params), params.theta,
+                        params.kappa_max, params.threshold_convention)
+
+
+def _closed_form(scale: float, theta: float, kappa_max: float,
+                 convention: ThresholdConvention) -> float:
+    """:func:`closed_form_threshold` on floats, ``scale`` being ``a*gamma*Gamma_eff``."""
     if scale == 0.0:
         # A partisan call with no perceived gain (p2 = 0 under the PAPER
         # posterior, p2 = 1 under BAYES). With no followers (theta = 0)
         # both forms below give 0.0 on their own.
         return 0.0
-    if params.threshold_convention is ThresholdConvention.PAPER_LITERAL:
-        return params.theta / (1.0 / scale + (1.0 - params.theta) / params.kappa_max)
-    share = params.theta * scale / ((params.kappa_max - scale) + scale * params.theta)
-    return share * params.kappa_max
+    if convention is ThresholdConvention.PAPER_LITERAL:
+        return theta / (1.0 / scale + (1.0 - theta) / kappa_max)
+    share = theta * scale / ((kappa_max - scale) + scale * theta)
+    return share * kappa_max
 
 
 # The fields _fixed_point takes after scale = a*gamma*Gamma_eff, in its
@@ -211,21 +217,16 @@ def solve_fixed_point(params: ModelParams) -> EquilibriumResult:
     is ``gamma*(theta + (1-theta)*kappa_star/kappa_max)`` and ``psi_star``
     is :func:`~reformgame.model.success_probability` of it.
 
-    This function computes ``Gamma_eff`` and ``s`` and hands the floats to
-    the private kernel ``_fixed_point``, which ``grid_sweep`` calls too;
-    then it adds the distance to the closed form of
-    ``params.threshold_convention`` and builds the record.
+    It computes ``Gamma_eff`` and ``s`` once, for the private kernel
+    ``_fixed_point`` (which ``grid_sweep`` calls too) and for the distance
+    to ``_closed_form`` under ``params.threshold_convention``.
     """
     gain = effective_gain(params)
+    scale = params.a * params.gamma * gain
     kappa, x_star, psi_star, iterations, residual = _fixed_point(
-        params.a * params.gamma * gain,
-        params.theta,
-        params.kappa_max,
-        params.gamma,
-        params.a,
-        params.phi,
-    )
-    gap = abs(kappa - closed_form_threshold(params))
+        scale, params.theta, params.kappa_max, params.gamma, params.a, params.phi)
+    gap = abs(kappa - _closed_form(scale, params.theta, params.kappa_max,
+                                   params.threshold_convention))
     return EquilibriumResult(
         convention=params.threshold_convention,
         kappa_star=kappa,

@@ -19,9 +19,10 @@ repeat within an object. Every numeric field must be a finite plain JSON
 number: the non-standard literals ``NaN``, ``Infinity`` and ``-Infinity``
 are a parse error naming where they sit, and a number beyond the float
 range is rejected by name (``params`` fields through the ranges in
-:data:`~reformgame.model.PARAM_RANGES`). Relative ``case_data`` paths
-resolve against the scenario file's directory. Every section is read
-through one field table; scenarios are only read, never written.
+:data:`~reformgame.model.PARAM_RANGES`). Every section is read through one
+field table, then checks itself as the run it feeds would; a relative
+``case_data`` path resolves against the scenario's directory and must name
+a file. Scenarios are only read, never written.
 
 :func:`write_results` writes every result, as CSV or JSON, through one
 encoder: a record's columns and keys are its dataclass fields in
@@ -40,7 +41,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Sequence
 
-from .abm import AbmEstimate
+from .abm import AbmEstimate, _estimate_sizes
 from .equilibrium import EquilibriumResult
 from .model import (
     PARAM_RANGES,
@@ -49,7 +50,7 @@ from .model import (
     PosteriorConvention,
     ThresholdConvention,
 )
-from .sweep import SWEEPABLE_PARAMETERS, SweepSeries
+from .sweep import SWEEPABLE_PARAMETERS, SweepSeries, _grid
 
 __all__ = [
     "ScenarioError",
@@ -114,15 +115,25 @@ class RunKind(str, Enum):
 
 @dataclass(frozen=True)
 class AbmSettings:
+    """A simulate run's sizes and seed, checked as ``estimate_equilibrium`` checks them."""
+
     n: int
     replications: int
     seed: int
 
+    def __post_init__(self) -> None:
+        _estimate_sizes(self.n, self.replications, self.seed)
+
 
 @dataclass(frozen=True)
 class SweepSettings:
+    """A sweep's parameter and grid, the grid checked as ``grid_sweep`` checks it."""
+
     parameter_name: str
     values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        _grid(self.values, "sweep grid")
 
 
 @dataclass(frozen=True)
@@ -153,6 +164,9 @@ class BancarizationSeries:
     total_active: int
     rate_percent: float
 
+
+# The fields a caller, such as a command-line flag, may override.
+_OVERRIDABLE = ("threshold_convention", "posterior_convention", "n", "replications", "seed")
 
 _RUN_SECTION = {
     RunKind.SOLVE: None,
@@ -240,13 +254,17 @@ def _choice(raw: str, choices: Any, where: str) -> Any:
 
 
 def _parse_section(obj: Any, name: str, overrides: dict[str, Any]) -> Any:
-    """Build a section's type from its object, the overrides replacing read fields."""
+    """Build a section's type from its object; overrides replace checked file values."""
     section_type, spec = _SECTIONS[name]
     if not isinstance(obj, dict):
         raise ScenarioSchemaError(name, f"{name} must be an object")
     _check_unknown(obj, [row[0] for row in spec], name)
-    values = {row[0]: _read(obj, name, *row) for row in spec}
-    return section_type(**{**values, **overrides})
+    values = {}
+    for key, kind, *default in spec:
+        values[key] = _read(obj, name, key, kind, *([None] if key in overrides else default))
+        if key in overrides:
+            values[key] = _read(overrides, name, key, kind)
+    return section_type(**values)
 
 
 class _Literal(str):
@@ -274,20 +292,27 @@ def _find(raw: Any, kind: type[str]) -> tuple[str, str] | None:
     return None
 
 
-def load_scenario(path: str | Path, **param_overrides: Any) -> Scenario:
-    """Load and fully validate a scenario file.
+def load_scenario(path: str | Path, command: RunKind | str | None = None,
+                  **overrides: Any) -> Scenario:
+    """Load and fully validate a scenario file for a run of ``command``.
 
-    ``param_overrides`` replace fields of the file's ``params`` (the CLI's
-    convention flags), once the file's own values have passed their checks;
-    the parameters are then built, and validated, once.
+    Every check a run makes before it computes happens here. ``command``
+    (a :class:`RunKind` or its value) defaults to the file's ``run``; the
+    overrides alone may supply the section it needs. ``overrides``
+    (``threshold_convention``, ``posterior_convention``, ``n``,
+    ``replications``, ``seed``; any other raises TypeError) replace file
+    values once those pass their checks.
 
-    Raises :class:`ScenarioParseError` for malformed JSON (including the
-    non-standard ``NaN``/``Infinity`` literals, whose location it names,
-    a file that is not UTF-8 and one nested too deeply to parse),
-    :class:`ScenarioSchemaError` for a shape violation or a repeated key
-    (naming the field), and :class:`~reformgame.model.ParameterError` when
-    the parameters break a model constraint.
+    Raises :class:`ScenarioParseError` for malformed JSON (the
+    non-standard ``NaN``/``Infinity`` literals named by location, a file
+    not UTF-8, one nested too deeply), :class:`ScenarioSchemaError` naming
+    the field of a shape violation, a repeated key, a missing section or a
+    case-data path that names no file, and
+    :class:`~reformgame.model.DomainError` for a section the run would
+    reject (:class:`~reformgame.model.ParameterError` for ``params``).
     """
+    for key in set(overrides).difference(_OVERRIDABLE):
+        raise TypeError(f"cannot override scenario field {key!r}")
     path = Path(path)
     literals: list[_Literal] = []
     repeats: list[dict[str, _Repeated]] = []
@@ -330,11 +355,8 @@ def load_scenario(path: str | Path, **param_overrides: Any) -> Scenario:
     run = _choice(_read(raw, "scenario", "run", str), RunKind, "run")
     if "params" not in raw:
         raise ScenarioSchemaError("params", "missing required field params")
-    sections = {
-        name: _parse_section(raw[name], name, param_overrides if name == "params" else {})
-        for name in _SECTIONS
-        if name in raw
-    }
+    sections = {name: _parse_section(raw[name], name, overrides)
+                for name in _SECTIONS if name in raw}
     required = ("params", _RUN_SECTION[run])
     for name in _SECTIONS:
         if name in required and name not in sections:
@@ -343,13 +365,20 @@ def load_scenario(path: str | Path, **param_overrides: Any) -> Scenario:
             raise ScenarioSchemaError(
                 name, f"section {name!r} is not allowed when run = {run.value!r}"
             )
+    if "case_data" in sections:
+        table = path.parent / sections["case_data"].path
+        if not table.is_file():
+            raise ScenarioSchemaError("case_data.path", f"case_data.path names no file: {table}")
+        sections["case_data"] = CaseDataSettings(path=str(table))
+    needed = _RUN_SECTION[RunKind(command or run)]
+    if needed is not None and needed not in sections:
+        sections[needed] = _parse_section({}, needed, overrides)
     return Scenario(label=label, run=run, **sections)
 
 
 _RECORDS = (EquilibriumResult, AbmEstimate, BancarizationSeries)
 
-# A sweep's written keys, and the columns each kept point is written with.
-_SWEEP_KEYS = ("parameter_name", "values", "outputs", "monotonicity", "target", "skipped")
+# The columns each kept sweep point is written with.
 _POINT_COLUMNS = ("kappa_star", "x_star", "psi_star")
 
 
@@ -372,8 +401,9 @@ def _json(value: Any) -> Any:
     if isinstance(value, dict):
         return {key: _json(item) for key, item in value.items()}
     if isinstance(value, SweepSeries):
-        return {key: _json(_points(value) if key == "outputs" else getattr(value, key))
-                for key in _SWEEP_KEYS}
+        return _json({"parameter_name": value.parameter_name, "values": value.values,
+                      "outputs": _points(value), "monotonicity": value.monotonicity,
+                      "target": "kappa_star", "skipped": value.skipped})
     if is_dataclass(value):
         return _json(vars(value))
     if isinstance(value, Enum):

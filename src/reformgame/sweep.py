@@ -32,6 +32,7 @@ __all__ = [
     "SWEEPABLE_PARAMETERS",
     "monotonicity_check",
     "grid_sweep",
+    "ResponseCurve",
     "SuccessResponse",
     "success_response_series",
     "finite_difference_sensitivity",
@@ -70,7 +71,7 @@ class SweepSeries:
     points rejected by validation are listed in ``skipped`` with the
     violated constraint. ``kappa_star``, ``x_star`` and ``psi_star`` are
     columns of floats aligned with ``values``, so a series holds no object
-    per point. ``monotonicity`` classifies the ``target`` column.
+    per point. ``monotonicity`` classifies the ``kappa_star`` column.
     """
 
     parameter_name: str
@@ -79,15 +80,11 @@ class SweepSeries:
     x_star: tuple[float, ...]
     psi_star: tuple[float, ...]
     monotonicity: Monotonicity
-    target: str = "kappa_star"
     skipped: tuple[tuple[float, str], ...] = ()
 
     @property
     def outputs(self) -> tuple[SweepPoint, ...]:
-        """The columns as one SweepPoint per kept point, built on each read.
-
-        The result writers zip the columns instead; this view stays because
-        the benchmark's check reads it."""
+        """The columns as one SweepPoint per kept point, built on each read."""
         return tuple(map(SweepPoint, self.kappa_star, self.x_star, self.psi_star))
 
 
@@ -251,28 +248,23 @@ def grid_sweep(
         x_star=tuple(xs),
         psi_star=tuple(psis),
         monotonicity=monotonicity_check(kappas),
-        target="kappa_star",
         skipped=tuple(skipped),
     )
 
 
+class ResponseCurve(NamedTuple):
+    """The success probability along one input's grid: ``psi_star`` is
+    aligned with ``values``, and ``monotonicity`` classifies it."""
+
+    values: tuple[float, ...]
+    psi_star: tuple[float, ...]
+    monotonicity: Monotonicity
+
+
 class SuccessResponse(NamedTuple):
-    certainty: SweepSeries
-    complementarity: SweepSeries
-    participation: SweepSeries
-
-
-def _psi_series(name: str, grid: list[float], psi: list[float],
-                x_of: list[float]) -> SweepSeries:
-    return SweepSeries(
-        parameter_name=name,
-        values=tuple(grid),
-        kappa_star=(math.nan,) * len(grid),
-        x_star=tuple(x_of),
-        psi_star=tuple(psi),
-        monotonicity=monotonicity_check(psi),
-        target="psi_star",
-    )
+    certainty: ResponseCurve
+    complementarity: ResponseCurve
+    participation: ResponseCurve
 
 
 def success_response_series(
@@ -282,8 +274,8 @@ def success_response_series(
 ) -> SuccessResponse:
     """Success-probability curves against each of its three inputs.
 
-    Produces one series per input, holding the other two at the base point
-    ``(BASE_A, BASE_PHI, BASE_X) = (0.5, 2.0, 0.5)``:
+    Produces one :class:`ResponseCurve` per input, holding the other two
+    at the base point ``(BASE_A, BASE_PHI, BASE_X) = (0.5, 2.0, 0.5)``:
     linear and increasing in the certainty degree, decreasing in the
     complementarity degree for a fixed interior fraction, increasing and
     convex in the participating fraction. Each grid must be non-empty and
@@ -295,11 +287,9 @@ def success_response_series(
     psi_a = [success_probability(a, BASE_PHI, BASE_X) for a in a_values]
     psi_phi = [success_probability(BASE_A, phi, BASE_X) for phi in phi_values]
     psi_x = [success_probability(BASE_A, BASE_PHI, x) for x in x_values]
-    return SuccessResponse(
-        certainty=_psi_series("a", a_values, psi_a, [BASE_X] * len(a_values)),
-        complementarity=_psi_series("phi", phi_values, psi_phi, [BASE_X] * len(phi_values)),
-        participation=_psi_series("x", x_values, psi_x, x_values),
-    )
+    panels = ((a_values, psi_a), (phi_values, psi_phi), (x_values, psi_x))
+    return SuccessResponse(*(ResponseCurve(tuple(grid), tuple(psi), monotonicity_check(psi))
+                             for grid, psi in panels))
 
 
 def finite_difference_sensitivity(

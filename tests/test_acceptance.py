@@ -161,11 +161,11 @@ def test_c07_success_response_shapes():
             x_values=[i / 10 for i in range(11)],
         )
         assert response.certainty.monotonicity is Monotonicity.INCREASING
-        psi_a = [p.psi_star for p in response.certainty.outputs]
+        psi_a = response.certainty.psi_star
         second = [psi_a[i + 2] - 2 * psi_a[i + 1] + psi_a[i] for i in range(len(psi_a) - 2)]
         assert all(abs(d) < 1e-12 for d in second), "panel in a must be linear"
         assert response.complementarity.monotonicity is Monotonicity.DECREASING
-        psi_x = [p.psi_star for p in response.participation.outputs]
+        psi_x = response.participation.psi_star
         assert response.participation.monotonicity is Monotonicity.INCREASING
         second_x = [
             psi_x[i + 2] - 2 * psi_x[i + 1] + psi_x[i] for i in range(len(psi_x) - 2)

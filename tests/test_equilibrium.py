@@ -28,7 +28,7 @@ from reformgame import (
 from reformgame import equilibrium
 from reformgame.sweep import SWEEPABLE_PARAMETERS
 
-from conftest import make_params, random_valid_params
+from conftest import count_calls, make_params, random_valid_params
 
 # Baseline closed forms, exact rationals:
 #   kappa* = 0.2 / (2.5 - 0.8) = 2/17, x* = 4/17, psi* = 4/289.
@@ -199,6 +199,17 @@ class TestSolveFixedPoint:
         monkeypatch.setattr(equilibrium, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="^no fixed point within 1 iterations "):
             solve_fixed_point(make_params())
+
+    @pytest.mark.parametrize("convention", list(ThresholdConvention))
+    def test_computes_the_gain_once(self, monkeypatch, convention):
+        # The closed form the gap is measured to reuses the solve's scale.
+        params = make_params(Gamma_gain=2.2, G3=3.0, G2=2.0, leader_type=LeaderType.PARTISAN,
+                             threshold_convention=convention)
+        gains = count_calls(monkeypatch, "effective_gain", owner="equilibrium")
+        posteriors = count_calls(monkeypatch, "posterior_change_state")
+        result = solve_fixed_point(params)
+        assert (len(gains), len(posteriors)) == (1, 1)
+        assert abs(result.kappa_star - closed_form_threshold(params)) == result.closed_form_gap
 
     def test_few_polish_steps(self):
         # The solver starts at the affine map's limit, so only the polish

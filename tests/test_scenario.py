@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -8,6 +9,7 @@ from reformgame import (
     BancarizationSeries,
     CaseDataSettings,
     CaseTableError,
+    DomainError,
     LeaderType,
     Monotonicity,
     ParameterError,
@@ -472,7 +474,61 @@ class TestLoadRunKinds:
         ],
     )
     def test_hand_written_payload_loads(self, tmp_path, payload, expected):
+        if expected.case_data is not None:
+            # The table sits beside the scenario, which resolves its path.
+            table = tmp_path / expected.case_data.path
+            table.write_bytes(bundled_path("bancarization.csv").read_bytes())
+            expected = replace(expected, case_data=CaseDataSettings(path=str(table)))
         assert load_scenario(write_json(tmp_path, payload)) == expected
+
+
+class TestLoadForCommand:
+    """What a command needs before it computes: the loader checks it all."""
+
+    def test_sections_check_themselves(self):
+        with pytest.raises(DomainError, match="^need at least 1000 agents per replication, "
+                                              "got 999$"):
+            AbmSettings(n=999, replications=2, seed=1)
+        with pytest.raises(DomainError, match=r"^replications must lie in \[2, "):
+            AbmSettings(n=1000, replications=1, seed=1)
+        with pytest.raises(DomainError, match="^n must be an integer, got 1000.0$"):
+            AbmSettings(n=1000.0, replications=2, seed=1)
+        with pytest.raises(DomainError, match="^sweep grid values must be strictly increasing$"):
+            SweepSettings(parameter_name="theta", values=(0.3, 0.2))
+
+    def test_flags_supply_the_command_section(self, tmp_path):
+        path = write_json(tmp_path, solve_payload())
+        scenario = load_scenario(path, "simulate", n=2000, replications=3, seed=9)
+        assert scenario.run is RunKind.SOLVE
+        assert scenario.abm == AbmSettings(n=2000, replications=3, seed=9)
+        for overrides, field in (({}, "abm.n"), ({"n": 2000, "seed": 9}, "abm.replications")):
+            with pytest.raises(ScenarioSchemaError, match=f"^missing required field {field}$"):
+                load_scenario(path, RunKind.SIMULATE, **overrides)
+        with pytest.raises(ScenarioSchemaError,
+                           match="^missing required field sweep.parameter_name$"):
+            load_scenario(path, "sweep")
+        assert load_scenario(path, "solve") == load_scenario(path)
+
+    def test_flags_replace_checked_file_values(self, tmp_path):
+        scenario = load_scenario(write_json(tmp_path, SIMULATE), n=2000, seed=5)
+        assert scenario.abm == AbmSettings(n=2000, replications=2, seed=5)
+        # Only the sizes that will run are checked against their bounds.
+        assert load_scenario(write_json(tmp_path, edit(SIMULATE, "abm", n=999)),
+                             n=1000).abm.n == 1000
+        with pytest.raises(ScenarioSchemaError, match="^abm.n must be an integer, got 'x'$"):
+            load_scenario(write_json(tmp_path, edit(SIMULATE, "abm", n="x")), n=1000)
+        with pytest.raises(DomainError, match="^need at least 1000 agents"):
+            load_scenario(write_json(tmp_path, SIMULATE), n=999)
+
+    def test_only_the_flag_fields_can_be_overridden(self, tmp_path):
+        with pytest.raises(TypeError, match="^cannot override scenario field 'a'$"):
+            load_scenario(write_json(tmp_path, solve_payload()), a=0.3)
+
+    def test_absolute_case_data_path_is_kept(self, tmp_path):
+        table = str(bundled_path("bancarization.csv"))
+        payload = solve_payload(run="case-data", case_data={"path": table})
+        scenario = load_scenario(write_json(tmp_path, payload))
+        assert scenario.case_data == CaseDataSettings(path=table)
 
 
 # Results with the exact bytes write_results gives them in CSV and in JSON.

@@ -15,6 +15,7 @@ from reformgame import (
     Monotonicity,
     ParameterError,
     PosteriorConvention,
+    ResponseCurve,
     ThresholdConvention,
     closed_form_threshold,
     finite_difference_sensitivity,
@@ -405,13 +406,13 @@ class TestGridSweepEquivalence:
 class TestSuccessResponseSeries:
     def test_certainty_panel_values(self):
         response = success_response_series([0.2, 0.4, 0.6, 0.8], [2.0], [0.5])
-        psi = [p.psi_star for p in response.certainty.outputs]
+        psi = list(response.certainty.psi_star)
         assert psi == pytest.approx([0.025, 0.05, 0.075, 0.1], rel=1e-12)
         assert response.certainty.monotonicity is Monotonicity.INCREASING
 
     def test_certainty_panel_is_linear(self):
         response = success_response_series([0.1, 0.3, 0.5, 0.7, 0.9], [2.0], [0.5])
-        psi = [p.psi_star for p in response.certainty.outputs]
+        psi = list(response.certainty.psi_star)
         second_diffs = [psi[i + 2] - 2 * psi[i + 1] + psi[i] for i in range(len(psi) - 2)]
         assert all(abs(d) < 1e-12 for d in second_diffs)
 
@@ -422,7 +423,7 @@ class TestSuccessResponseSeries:
     def test_participation_panel_increasing_and_convex(self):
         grid = [i / 10 for i in range(11)]
         response = success_response_series([0.5], [2.0], grid)
-        psi = [p.psi_star for p in response.participation.outputs]
+        psi = list(response.participation.psi_star)
         assert response.participation.monotonicity is Monotonicity.INCREASING
         second_diffs = [psi[i + 2] - 2 * psi[i + 1] + psi[i] for i in range(len(psi) - 2)]
         assert all(d > 0 for d in second_diffs)
@@ -432,12 +433,14 @@ class TestSuccessResponseSeries:
             for phi in (1.5, 2.0, 4.0):
                 assert success_probability(a, phi, 0.0) == 0.0
         response = success_response_series([0.5], [2.0], [0.0])
-        assert response.participation.outputs[0].psi_star == 0.0
+        assert response.participation.psi_star == (0.0,)
 
-    def test_threshold_column_not_defined_for_response_panels(self):
-        response = success_response_series([0.5], [2.0], [0.5])
-        assert math.isnan(response.certainty.outputs[0].kappa_star)
-        assert response.certainty.target == "psi_star"
+    def test_panels_hold_only_the_response_columns(self):
+        response = success_response_series([0.5], [2.0], [0.25, 0.5])
+        assert response.participation == ResponseCurve(
+            values=(0.25, 0.5), psi_star=(0.015625, 0.0625),
+            monotonicity=Monotonicity.INCREASING)
+        assert ResponseCurve._fields == ("values", "psi_star", "monotonicity")
 
     def test_empty_grid_rejected(self):
         for panel, grids in (("certainty grid (a)", ([], [2.0], [0.5])),
