@@ -15,9 +15,9 @@ then a single draw at the realized participation level.
 Agent state is held in parallel numpy arrays so that populations of 1e5
 agents replicate in milliseconds. Each replication of an estimate draws its
 population into the previous replication's arrays, so they are allocated
-once per estimate. numpy is imported on the first call of a function that
-needs it, not with this module, so the analytic side of the package, and
-every CLI command but ``simulate``, runs without loading it.
+once per estimate. The package and the CLI load this module on first use,
+and it imports numpy on the first call of a function that needs it, so
+every CLI command but ``simulate`` runs without either.
 
 All randomness flows from explicit integer seeds (replication seeds derive
 from the master seed by a splitmix64 counter), so identical inputs reproduce

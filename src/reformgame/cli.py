@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .abm import AbmEstimate, estimate_equilibrium
 from .equilibrium import ConvergenceError, EquilibriumResult, equilibrium_report
 from .model import DomainError, PosteriorConvention, ThresholdConvention
 from .scenario import (
@@ -27,7 +26,6 @@ from .scenario import (
     load_scenario,
     write_results,
 )
-from .sweep import SweepSeries, grid_sweep
 
 EXIT_OK = 0
 EXIT_INVALID_PARAMS = 1
@@ -99,7 +97,8 @@ def _cmd_solve(scenario: Scenario) -> EquilibriumResult:
     return eq
 
 
-def _cmd_simulate(scenario: Scenario) -> AbmEstimate:
+def _cmd_simulate(scenario: Scenario):  # -> abm.AbmEstimate
+    from .abm import estimate_equilibrium
     est = estimate_equilibrium(scenario.params, **vars(scenario.abm))
     print(
         f"simulated {est.replications} x {est.agents_per_replication} agents: "
@@ -110,7 +109,8 @@ def _cmd_simulate(scenario: Scenario) -> AbmEstimate:
     return est
 
 
-def _cmd_sweep(scenario: Scenario) -> SweepSeries:
+def _cmd_sweep(scenario: Scenario):  # -> sweep.SweepSeries
+    from .sweep import grid_sweep
     series = grid_sweep(scenario.params, scenario.sweep.parameter_name,
                         scenario.sweep.values)
     print(

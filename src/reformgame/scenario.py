@@ -20,28 +20,28 @@ number: the non-standard literals ``NaN``, ``Infinity`` and ``-Infinity``
 are a parse error naming where they sit, and a number beyond the float
 range is rejected by name (``params`` fields through the ranges in
 :data:`~reformgame.model.PARAM_RANGES`). Every section is read through one
-field table, then checks itself as the run it feeds would; a relative
-``case_data`` path resolves against the scenario's directory and must name
-a file. Scenarios are only read, never written.
+field table, then checks itself as the run it feeds would (``abm`` and
+``sweep`` load only for their own sections); a relative ``case_data`` path
+resolves against the scenario's directory and must name a file. Messages
+quote a path with repr(). Scenarios are only read, never written.
 
 :func:`write_results` writes every result, as CSV or JSON, through one
-encoder: a record's columns and keys are its dataclass fields in
-declaration order, floats carry 12 significant digits, and there are no
-timestamps, so identical runs produce byte-identical files.
+encoder, loading neither ``abm`` nor ``sweep``: a record's columns and keys
+are its dataclass fields in declaration order, floats carry 12 significant
+digits and nothing is timestamped, so identical runs give identical bytes.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Sequence
 
-from .abm import AbmEstimate, _estimate_sizes
 from .equilibrium import EquilibriumResult
 from .model import (
     PARAM_RANGES,
@@ -50,7 +50,6 @@ from .model import (
     PosteriorConvention,
     ThresholdConvention,
 )
-from .sweep import SWEEPABLE_PARAMETERS, SweepSeries, _grid
 
 __all__ = [
     "ScenarioError",
@@ -122,6 +121,7 @@ class AbmSettings:
     seed: int
 
     def __post_init__(self) -> None:
+        from .abm import _estimate_sizes
         _estimate_sizes(self.n, self.replications, self.seed)
 
 
@@ -133,6 +133,7 @@ class SweepSettings:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        from .sweep import _grid
         _grid(self.values, "sweep grid")
 
 
@@ -186,9 +187,10 @@ def bundled_path(name: str) -> Path:
 
 # Each section of a scenario: the type it builds and its fields in read
 # order, as (key, kind) or, for an optional field, (key, kind, default). A
-# kind is float, int, str, an Enum read from its string value, a tuple of
-# strings that the value must be one of, or the type tuple: the non-empty
-# array of finite numbers that sweep.values takes.
+# kind is float, int, str, an Enum read from its string value, a dict whose
+# keys the value must be one of (sweep.parameter_name takes PARAM_RANGES's,
+# which SWEEPABLE_PARAMETERS lists), or the type tuple: the non-empty array
+# of finite numbers that sweep.values takes.
 _SECTIONS: dict[str, tuple[type, tuple[tuple[Any, ...], ...]]] = {
     "params": (ModelParams, (
         *((name, float) for name in PARAM_RANGES),
@@ -197,7 +199,7 @@ _SECTIONS: dict[str, tuple[type, tuple[tuple[Any, ...], ...]]] = {
         ("posterior_convention", PosteriorConvention, PosteriorConvention.PAPER),
     )),
     "abm": (AbmSettings, (("n", int), ("replications", int), ("seed", int))),
-    "sweep": (SweepSettings, (("parameter_name", SWEEPABLE_PARAMETERS), ("values", tuple))),
+    "sweep": (SweepSettings, (("parameter_name", PARAM_RANGES), ("values", tuple))),
     "case_data": (CaseDataSettings, (("path", str),)),
 }
 
@@ -245,7 +247,7 @@ def _check_unknown(obj: dict, allowed: Sequence[str], where: str) -> None:
 
 
 def _choice(raw: str, choices: Any, where: str) -> Any:
-    """raw as one of the choices: an Enum, built from its value, or a tuple of strings."""
+    """raw as one of the choices: an Enum, built from its value, or a dict's keys."""
     options = [getattr(choice, "value", choice) for choice in choices]
     if raw not in options:
         message = f"{where} must be one of: {', '.join(options)}; got {raw!r}"
@@ -333,13 +335,13 @@ def load_scenario(path: str | Path, command: RunKind | str | None = None,
         text = path.read_text(encoding="utf-8")
         raw = json.loads(text, parse_constant=keep_literal, object_pairs_hook=mark_repeats)
     except ValueError as exc:  # UnicodeDecodeError too: JSON text is UTF-8
-        raise ScenarioParseError(f"{path}: not valid JSON ({exc})") from exc
+        raise ScenarioParseError(f"{str(path)!r}: not valid JSON ({exc})") from exc
     except RecursionError as exc:
-        raise ScenarioParseError(f"{path}: nested too deeply to parse") from exc
+        raise ScenarioParseError(f"{str(path)!r}: nested too deeply to parse") from exc
     if literals:
         # A literal under a repeated key has no location.
         where, literal = _find(raw, _Literal) or ("", literals[0])
-        message = f"{path}: not valid JSON ({literal} is not a JSON number)"
+        message = f"{str(path)!r}: not valid JSON ({literal} is not a JSON number)"
         raise ScenarioParseError(
             f"{message} at {where}" if where else message, field=where or None
         )
@@ -368,7 +370,8 @@ def load_scenario(path: str | Path, command: RunKind | str | None = None,
     if "case_data" in sections:
         table = path.parent / sections["case_data"].path
         if not table.is_file():
-            raise ScenarioSchemaError("case_data.path", f"case_data.path names no file: {table}")
+            raise ScenarioSchemaError("case_data.path",
+                                      f"case_data.path names no file: {str(table)!r}")
         sections["case_data"] = CaseDataSettings(path=str(table))
     needed = _RUN_SECTION[RunKind(command or run)]
     if needed is not None and needed not in sections:
@@ -376,13 +379,19 @@ def load_scenario(path: str | Path, command: RunKind | str | None = None,
     return Scenario(label=label, run=run, **sections)
 
 
-_RECORDS = (EquilibriumResult, AbmEstimate, BancarizationSeries)
+_RECORDS = (EquilibriumResult, BancarizationSeries)
 
 # The columns each kept sweep point is written with.
 _POINT_COLUMNS = ("kappa_star", "x_star", "psi_star")
 
 
-def _points(series: SweepSeries) -> list[dict[str, float]]:
+def _loaded(module: str, name: str) -> tuple[type, ...]:
+    """reformgame.<module>.<name>, if loaded: no instance exists before that."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return (getattr(loaded, name),) if loaded else ()
+
+
+def _points(series: Any) -> list[dict[str, float]]:
     """A sweep's kept points, one dict of its three columns each."""
     columns = (getattr(series, name) for name in _POINT_COLUMNS)
     return [dict(zip(_POINT_COLUMNS, point)) for point in zip(*columns)]
@@ -400,11 +409,11 @@ def _json(value: Any) -> Any:
         return [_json(item) for item in value]
     if isinstance(value, dict):
         return {key: _json(item) for key, item in value.items()}
-    if isinstance(value, SweepSeries):
-        return _json({"parameter_name": value.parameter_name, "values": value.values,
-                      "outputs": _points(value), "monotonicity": value.monotonicity,
-                      "target": "kappa_star", "skipped": value.skipped})
     if is_dataclass(value):
+        if isinstance(value, _loaded("sweep", "SweepSeries")):
+            return _json({"parameter_name": value.parameter_name, "values": value.values,
+                          "outputs": _points(value), "monotonicity": value.monotonicity,
+                          "target": "kappa_star", "skipped": value.skipped})
         return _json(vars(value))
     if isinstance(value, Enum):
         return value.value
@@ -413,11 +422,12 @@ def _json(value: Any) -> Any:
 
 def _rows(result: Any) -> list[dict[str, Any]]:
     """A result's CSV rows: one per record, or per kept sweep point."""
-    if isinstance(result, SweepSeries):
+    if isinstance(result, _loaded("sweep", "SweepSeries")):
         return [{"parameter": result.parameter_name, "value": value, **point}
                 for value, point in zip(result.values, _points(result))]
     records = result if isinstance(result, (list, tuple)) else [result]
-    if not records or not all(isinstance(record, _RECORDS) for record in records):
+    kinds = (*_RECORDS, *_loaded("abm", "AbmEstimate"))
+    if not records or not all(isinstance(record, kinds) for record in records):
         raise TypeError(f"no writer for results of type {type(result).__name__}")
     return [vars(record) for record in records]
 
@@ -469,21 +479,22 @@ def ingest_case_table(path: str | Path) -> tuple[BancarizationSeries, ...]:
     number; a file that is not UTF-8, with its path and the bad byte's
     offset in the file.
     """
+    import csv  # here, not with the module: only case-data reads a CSV
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CaseTableError(f"{path}: not valid UTF-8 ({exc})") from exc
+        raise CaseTableError(f"{str(path)!r}: not valid UTF-8 ({exc})") from exc
     text = text.removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
-        raise CaseTableError(f"{path}: empty file")
+        raise CaseTableError(f"{str(path)!r}: empty file")
     expected = ["year", "banked_count", "total_active"]
     if [h.strip() for h in header] != expected:
         raise CaseTableError(
-            f"{path}: header must be {','.join(expected)}, got {','.join(header)}"
+            f"{str(path)!r}: header must be {','.join(expected)}, got {','.join(header)}"
         )
     out: list[BancarizationSeries] = []
     for row_num, row in enumerate(reader, start=1):
@@ -512,5 +523,5 @@ def ingest_case_table(path: str | Path) -> tuple[BancarizationSeries, ...]:
             )
         )
     if not out:
-        raise CaseTableError(f"{path}: no data rows")
+        raise CaseTableError(f"{str(path)!r}: no data rows")
     return tuple(out)

@@ -16,7 +16,15 @@ from hypothesis import strategies as st
 
 import reformgame
 import reformgame.cli
-from reformgame import ConvergenceError, bundled_path, run_command
+from reformgame import (
+    PARAM_RANGES,
+    ConvergenceError,
+    LeaderType,
+    PosteriorConvention,
+    ThresholdConvention,
+    bundled_path,
+    run_command,
+)
 
 from test_scenario import solve_payload, write_json, write_with_raw_number
 
@@ -247,7 +255,7 @@ class TestCaseData:
         payload = solve_payload(run="case-data", case_data={"path": "bad.csv"})
         assert run(["case-data", "--scenario", write_json(tmp_path, payload)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {table}: not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
+            f"error: {str(table)!r}: not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
             "in position 36: invalid start byte)"
         ]
 
@@ -265,7 +273,7 @@ class TestCaseData:
         table.write_bytes(b"\xef\xbb\xbfyear,banked_count,total_active\n2011,\xff,3\n")
         assert run(["case-data", "--scenario", scenario]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {table}: not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
+            f"error: {str(table)!r}: not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
             "in position 39: invalid start byte)"
         ]
 
@@ -303,11 +311,11 @@ DEFECTS = [
                    id=f"replications-{reps}")
       for reps in (0, 1, MAX_ARRAY + 1)),
     pytest.param("bancarization.json", "case_data", {"path": "absent.csv"}, 2,
-                 "case_data.path names no file: {dir}/absent.csv", id="table-missing"),
+                 "case_data.path names no file: '{dir}/absent.csv'", id="table-missing"),
     pytest.param("bancarization.json", "case_data", {"path": "tables"}, 2,
-                 "case_data.path names no file: {dir}/tables", id="table-is-a-directory"),
+                 "case_data.path names no file: '{dir}/tables'", id="table-is-a-directory"),
     pytest.param("bancarization.json", "case_data", {"path": "a\x00b"}, 2,
-                 "case_data.path names no file: {dir}/a\x00b", id="table-path-with-nul"),
+                 "case_data.path names no file: '{dir}/a\\x00b'", id="table-path-with-nul"),
 ]
 
 
@@ -371,6 +379,26 @@ class TestFlagsPerCommand:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("defect", ["table-missing", "scenario-not-json", "table-empty"])
+    def test_control_bytes_in_a_path_are_escaped(self, tmp_path, capsys, defect):
+        # A path holding a NUL or an escape byte is quoted in the message, so
+        # no control byte reaches the terminal raw, and the exit code stays 2.
+        table = "t\x1b[31m.csv" if defect == "table-empty" else "a\x00\x1b[31mb.csv"
+        payload = solve_payload(run="case-data", case_data={"path": table})
+        scenario = write_json(tmp_path, payload, name="s\x1b[31m.json")
+        if defect == "scenario-not-json":
+            scenario.write_text("{", encoding="utf-8")
+        if defect == "table-empty":
+            (tmp_path / table).write_bytes(b"")
+        # validate checks only that the table exists; case-data reads it.
+        for command in ("case-data",) if defect == "table-empty" else ("validate", "case-data"):
+            code = run([command, "--scenario", scenario])
+            err = capsys.readouterr().err
+            assert code == 2, err
+            named = scenario if defect == "scenario-not-json" else tmp_path / table
+            assert repr(str(named)) in err
+            assert not re.search(r"[\x00-\x09\x0b-\x1f\x7f]", err), err
+
     def test_missing_scenario_file(self, capsys):
         assert run(["solve", "--scenario", "/no/such/file.json"]) == 2
         assert "error" in capsys.readouterr().err
@@ -385,7 +413,7 @@ class TestErrorPaths:
         scenario.write_bytes(b'{"label": "\xff"}')
         assert run(["validate", "--scenario", scenario]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {scenario}: not valid JSON ('utf-8' codec can't decode byte 0xff "
+            f"error: {str(scenario)!r}: not valid JSON ('utf-8' codec can't decode byte 0xff "
             "in position 11: invalid start byte)"
         ]
 
@@ -394,7 +422,7 @@ class TestErrorPaths:
         scenario.write_text("[" * 100_000, encoding="utf-8")
         assert run(["validate", "--scenario", scenario]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {scenario}: nested too deeply to parse"
+            f"error: {str(scenario)!r}: nested too deeply to parse"
         ]
 
     def test_nan_param_is_a_parse_error(self, tmp_path, capsys):
@@ -480,6 +508,26 @@ FUZZ_VALUES = [None, True, 2**70, 10**400, 1e308, 5e-324, "x", "", "a\x00b", [],
 FUZZ_BASES = {name: json.loads(bundled_path(name).read_text(encoding="utf-8"))
               for name in BUNDLED_SCENARIOS}
 FUZZ_BASES["baseline_simulate.json"]["abm"].update(n=1000, replications=2)
+# What a fuzz edit may set a field to that passes the field's own check (an
+# unbounded range capped at 2, the Monte Carlo kept small). A set edit
+# draws from here three times in four, so that many fuzzed files pass
+# validate and must then run.
+IN_RANGE = {
+    **{("params", name): st.floats(lo, min(hi, 2.0))
+       for name, (lo, hi, _) in PARAM_RANGES.items()},
+    **{("params", field): st.sampled_from([choice.value for choice in choices])
+       for field, choices in (("leader_type", LeaderType),
+                              ("threshold_convention", ThresholdConvention),
+                              ("posterior_convention", PosteriorConvention))},
+    ("abm", "n"): st.integers(1000, 2000),
+    ("abm", "replications"): st.integers(2, 3),
+    ("abm", "seed"): st.integers(0, 2**64),
+    ("sweep", "parameter_name"): st.sampled_from(list(PARAM_RANGES)),
+    ("sweep", "values"): st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4,
+                                  unique=True).map(sorted),
+    ("case_data", "path"): st.just("bancarization.csv"),
+    ("label",): st.text(max_size=5),
+}
 
 
 def _paths(node, prefix=()):
@@ -498,7 +546,7 @@ def _paths(node, prefix=()):
 @st.composite
 def mutated_scenarios(draw):
     """A bundled scenario with one to three edits: a key dropped or renamed,
-    or a value replaced."""
+    or a value replaced, most often by one in the field's range."""
     payload = copy.deepcopy(FUZZ_BASES[draw(st.sampled_from(BUNDLED_SCENARIOS))])
     for _ in range(draw(st.integers(1, 3))):
         *parents, key = draw(st.sampled_from(list(_paths(payload))))
@@ -510,6 +558,8 @@ def mutated_scenarios(draw):
             del node[key]
         elif edit == "rename" and isinstance(node, dict):
             node[key + "_"] = node.pop(key)
+        elif (*parents, key) in IN_RANGE and draw(st.integers(0, 3)):
+            node[key] = draw(IN_RANGE[(*parents, key)])
         else:
             node[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
         if not payload:
@@ -566,26 +616,44 @@ class TestExitCodeContract:
                 (payload["run"], err)
 
 
-# Runs in a fresh interpreter: every command but simulate, then simulate,
-# reporting the exit codes and whether numpy was loaded after each stage.
+# Runs in a fresh interpreter: imports the CLI, probes the package for a
+# dunder name, then runs the commands lightest first, reporting after each
+# stage its exit code and which of the optional modules have loaded.
 COLD_START = """
 import json, sys
+import reformgame
 from reformgame import bundled_path
 from reformgame.cli import run_command
 
+assert not hasattr(reformgame, "__wrapped__")  # a dunder probe loads nothing
+
+def loaded():
+    return sorted(m for m in ("reformgame.abm", "reformgame.sweep", "numpy", "csv")
+                  if m in sys.modules)
+
 out = sys.argv[1]
-runs = [("solve", "baseline.json"), ("sweep", "baseline_sweep.json"),
-        ("validate", "baseline.json"), ("case-data", "bancarization.json"),
-        ("solve", "bad_gain_bound.json")]
-codes = [run_command([command, "--scenario", str(bundled_path(scenario)),
-                      "--out", f"{out}/{index}.csv"])
-         for index, (command, scenario) in enumerate(runs)]
-numpy_before = "numpy" in sys.modules
-codes.append(run_command(["simulate", "--scenario", str(bundled_path("baseline_simulate.json")),
-                          "--out", f"{out}/simulate.csv"]))
-print(json.dumps({"codes": codes, "numpy_before": numpy_before,
-                  "numpy_after": "numpy" in sys.modules}))
+runs = [("solve", "baseline.json"), ("validate", "baseline.json"),
+        ("solve", "bad_gain_bound.json"), ("case-data", "bancarization.json"),
+        ("sweep", "baseline_sweep.json"), ("simulate", "baseline_simulate.json")]
+stages = [["import", None, loaded()]]
+for command, scenario in runs:
+    code = run_command([command, "--scenario", str(bundled_path(scenario)),
+                        "--out", f"{out}/{command}.csv"])
+    stages.append([command, code, loaded()])
+print(json.dumps(stages))
 """
+
+# What each stage of COLD_START leaves loaded: csv from case-data on, sweep
+# from sweep on, and the Monte Carlo engine with numpy only from simulate.
+COLD_STAGES = [
+    ["import", None, []],
+    ["solve", 0, []],
+    ["validate", 0, []],
+    ["solve", 1, []],
+    ["case-data", 0, ["csv"]],
+    ["sweep", 0, ["csv", "reformgame.sweep"]],
+    ["simulate", 0, ["csv", "numpy", "reformgame.abm", "reformgame.sweep"]],
+]
 
 
 class TestModuleEntryPoint:
@@ -607,9 +675,7 @@ class TestModuleEntryPoint:
     def test_only_simulate_loads_numpy(self, tmp_path):
         proc = self.python("-c", COLD_START, str(tmp_path))
         assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout.splitlines()[-1])
-        assert report == {"codes": [0, 0, 0, 0, 1, 0], "numpy_before": False,
-                          "numpy_after": True}
+        assert json.loads(proc.stdout.splitlines()[-1]) == COLD_STAGES
         golden = Path(__file__).parent / "golden" / "simulate.csv"
         assert (tmp_path / "simulate.csv").read_bytes() == golden.read_bytes()
 
