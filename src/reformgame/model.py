@@ -87,11 +87,6 @@ def _range_message(name: str, value: float) -> str:
     return f"{name} {rule}, got {value}"
 
 
-def _range_error(name: str, value: float) -> ParameterError:
-    """The ``field_range`` error for a value outside its PARAM_RANGES row."""
-    return ParameterError("field_range", _range_message(name, value))
-
-
 def _leader_gain_profile(params: ModelParams) -> None:
     if params.leader_type is LeaderType.NON_PARTISAN:
         if params.G2 != 0.0 or not params.G3 > 0.0:
@@ -254,9 +249,9 @@ class ModelParams:
     that is a real number as a ``float``, so a numpy ``float32`` or an
     ``int`` is solved in double precision, then calls
     :func:`validate_params`.
-    Instances keep a ``__dict__`` (no ``slots``): sweeps copy it and build
-    their points through it, validating only what the varied field can
-    break.
+    Instances keep a ``__dict__`` (no ``slots``): a sweep copies it once
+    and builds each point's instance from the copy, validating only what the
+    varied field can break.
     """
 
     a: float
@@ -402,7 +397,7 @@ def validate_params(params: ModelParams) -> ModelParams:
         if not isinstance(value, (float, int, Real)):
             raise ParameterError("field_range", f"{name} must be a real number, got {value!r}")
         if not lo <= value <= hi:
-            raise _range_error(name, value)
+            raise ParameterError("field_range", _range_message(name, value))
     for name, choices in _CHOICE_FIELDS.items():
         value = getattr(params, name)
         if not isinstance(value, choices):

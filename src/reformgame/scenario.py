@@ -33,11 +33,13 @@ digits and nothing is timestamped, so identical runs give identical bytes.
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Sequence
@@ -332,7 +334,12 @@ def load_scenario(path: str | Path, command: RunKind | str | None = None,
         return obj
 
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+    except ValueError:  # a name no file can have, such as one with a NUL byte
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path)) from None
+    try:
+        # Universal newlines, so an error's position counts CR LF or CR as one line end.
+        text = io.StringIO(data.decode("utf-8"), newline=None).read()
         raw = json.loads(text, parse_constant=keep_literal, object_pairs_hook=mark_repeats)
     except ValueError as exc:  # UnicodeDecodeError too: JSON text is UTF-8
         raise ScenarioParseError(f"{str(path)!r}: not valid JSON ({exc})") from exc
@@ -379,57 +386,44 @@ def load_scenario(path: str | Path, command: RunKind | str | None = None,
     return Scenario(label=label, run=run, **sections)
 
 
-_RECORDS = (EquilibriumResult, BancarizationSeries)
-
-# The columns each kept sweep point is written with.
-_POINT_COLUMNS = ("kappa_star", "x_star", "psi_star")
-
-
 def _loaded(module: str, name: str) -> tuple[type, ...]:
     """reformgame.<module>.<name>, if loaded: no instance exists before that."""
     loaded = sys.modules.get(f"{__package__}.{module}")
     return (getattr(loaded, name),) if loaded else ()
 
 
-def _points(series: Any) -> list[dict[str, float]]:
-    """A sweep's kept points, one dict of its three columns each."""
-    columns = (getattr(series, name) for name in _POINT_COLUMNS)
-    return [dict(zip(_POINT_COLUMNS, point)) for point in zip(*columns)]
-
-
 def _json(value: Any) -> Any:
     """value as JSON data: floats at 12 significant digits, so that JSON and
-    CSV report identical values; a sweep series by its written keys, with
-    ``outputs`` zipped from its columns; dataclasses as objects of their
-    fields in declaration order (a plain dataclass's instance dict); enums
-    by value."""
+    CSV report identical values; lists, tuples and dicts item by item;
+    enums by value."""
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, (list, tuple)):
         return [_json(item) for item in value]
     if isinstance(value, dict):
         return {key: _json(item) for key, item in value.items()}
-    if is_dataclass(value):
-        if isinstance(value, _loaded("sweep", "SweepSeries")):
-            return _json({"parameter_name": value.parameter_name, "values": value.values,
-                          "outputs": _points(value), "monotonicity": value.monotonicity,
-                          "target": "kappa_star", "skipped": value.skipped})
-        return _json(vars(value))
     if isinstance(value, Enum):
         return value.value
     return value
 
 
-def _rows(result: Any) -> list[dict[str, Any]]:
-    """A result's CSV rows: one per record, or per kept sweep point."""
+def _layout(result: Any) -> tuple[list[dict[str, Any]], Any]:
+    """A result's CSV rows, one per record or kept sweep point, and its JSON
+    document; TypeError for a result no writer takes."""
     if isinstance(result, _loaded("sweep", "SweepSeries")):
-        return [{"parameter": result.parameter_name, "value": value, **point}
-                for value, point in zip(result.values, _points(result))]
+        points = [{"kappa_star": k, "x_star": x, "psi_star": p}
+                  for k, x, p in zip(result.kappa_star, result.x_star, result.psi_star)]
+        rows = [{"parameter": result.parameter_name, "value": value, **point}
+                for value, point in zip(result.values, points)]
+        return rows, {"parameter_name": result.parameter_name, "values": result.values,
+                      "outputs": points, "monotonicity": result.monotonicity,
+                      "target": "kappa_star", "skipped": result.skipped}
     records = result if isinstance(result, (list, tuple)) else [result]
-    kinds = (*_RECORDS, *_loaded("abm", "AbmEstimate"))
+    kinds = (EquilibriumResult, BancarizationSeries, *_loaded("abm", "AbmEstimate"))
     if not records or not all(isinstance(record, kinds) for record in records):
         raise TypeError(f"no writer for results of type {type(result).__name__}")
-    return [vars(record) for record in records]
+    rows = [vars(record) for record in records]
+    return rows, rows if records is result else rows[0]
 
 
 def _text(cell: Any) -> str:
@@ -453,12 +447,12 @@ def write_results(result: Any, path: str | Path, format: str = "csv") -> None:
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown output format {format!r}; expected 'csv' or 'json'")
-    rows = _rows(result)  # checks the result's type for both formats
+    rows, document = _layout(result)
     if format == "csv":
         lines = [",".join(rows[0]), *(",".join(map(_text, row.values())) for row in rows)]
         text = "\n".join(lines)
     else:
-        text = json.dumps(_json(result), indent=2)
+        text = json.dumps(_json(document), indent=2)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -494,7 +488,7 @@ def ingest_case_table(path: str | Path) -> tuple[BancarizationSeries, ...]:
     expected = ["year", "banked_count", "total_active"]
     if [h.strip() for h in header] != expected:
         raise CaseTableError(
-            f"{str(path)!r}: header must be {','.join(expected)}, got {','.join(header)}"
+            f"{str(path)!r}: header must be {','.join(expected)}, got {','.join(header)!r}"
         )
     out: list[BancarizationSeries] = []
     for row_num, row in enumerate(reader, start=1):

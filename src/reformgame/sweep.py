@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .equilibrium import (
     _GAIN_FIELDS,
@@ -20,7 +20,6 @@ from .model import (
     DomainError,
     ModelParams,
     ParameterError,
-    _range_error,
     _range_message,
     success_probability,
 )
@@ -133,36 +132,6 @@ def _grid(values: Iterable[float], name: str) -> list[float]:
     return grid
 
 
-def _point_builder(base: ModelParams, parameter_name: str) -> Callable[[float], ModelParams]:
-    """Build parameter sets that differ from ``base`` in one field only.
-
-    Each call checks the value against the field's :data:`PARAM_RANGES` row,
-    fills a fresh instance's ``__dict__`` from a copy of the base's fields
-    (the dataclass ``__init__`` only assigns them one at a time), then runs
-    the :data:`RELATIONAL_CHECKS` rows that read the field, in table order.
-    Every other check reads only the base's values, which passed, so the
-    result equals ``ModelParams(**fields)``, with the same hash and repr, or
-    raises exactly what it raises, message included. ``grid_sweep`` checks
-    the range row itself, without raising, and calls this only for a field
-    that a relational check or ``effective_gain`` reads.
-    """
-    fields = dict(vars(base))
-    lo, hi, _ = PARAM_RANGES[parameter_name]
-    checks = [check for check, reads in RELATIONAL_CHECKS.values() if parameter_name in reads]
-
-    def build(value: float) -> ModelParams:
-        if not lo <= value <= hi:
-            raise _range_error(parameter_name, value)
-        fields[parameter_name] = value
-        params = object.__new__(ModelParams)
-        params.__dict__.update(fields)
-        for check in checks:
-            check(params)
-        return params
-
-    return build
-
-
 def grid_sweep(
     base: ModelParams, parameter_name: str, values: Iterable[float]
 ) -> SweepSeries:
@@ -177,8 +146,12 @@ def grid_sweep(
     are those of ``solve_fixed_point`` bit for bit:
 
     - it checks the field's :data:`PARAM_RANGES` row without raising;
-    - it builds a ``ModelParams`` (see ``_point_builder``) only when a
-      :data:`RELATIONAL_CHECKS` row or ``effective_gain`` reads the field;
+    - only when a :data:`RELATIONAL_CHECKS` row or ``effective_gain``
+      reads the field, it fills a fresh ``ModelParams``'s ``__dict__`` from
+      the base's fields, copied once per sweep, with the value set, and runs
+      the rows that read the field, in table order; every other check reads
+      only the base's values, which passed, so a point is skipped with the
+      constructor's text;
     - ``effective_gain`` and ``scale = a*gamma*Gamma_eff`` are computed once
       per sweep unless the field feeds them (``a``, ``gamma``,
       ``Gamma_gain``, and ``s`` and ``p2`` for a partisan);
@@ -201,8 +174,8 @@ def grid_sweep(
     lo, hi, _ = PARAM_RANGES[parameter_name]
     feeds_gain = parameter_name in _GAIN_FIELDS[base.leader_type]
     feeds_scale = feeds_gain or parameter_name in ("a", "gamma")
-    checked = feeds_gain or any(parameter_name in reads for _, reads in RELATIONAL_CHECKS.values())
-    build = _point_builder(base, parameter_name) if checked else None
+    checks = [check for check, reads in RELATIONAL_CHECKS.values() if parameter_name in reads]
+    fields = dict(vars(base)) if checks or feeds_gain else None
     # The kernel's arguments at the base; a point overwrites what it changes.
     gain = effective_gain(base)
     args = [base.a * base.gamma * gain, *(getattr(base, name) for name in _KERNEL_FIELDS)]
@@ -219,14 +192,18 @@ def grid_sweep(
             # The text of the error the ModelParams constructor would raise.
             skipped.append((value, f"field_range: {_range_message(parameter_name, value)}"))
             continue
-        if build is not None:
+        if fields is not None:
+            fields[parameter_name] = value
+            point = object.__new__(ModelParams)
+            point.__dict__.update(fields)
             try:
-                params = build(value)
+                for check in checks:
+                    check(point)
             except ParameterError as exc:
                 skipped.append((value, str(exc)))
                 continue
             if feeds_gain:
-                gain = effective_gain(params)
+                gain = effective_gain(point)
         if slot:
             args[slot] = value
         if feeds_scale:
@@ -314,11 +291,10 @@ def finite_difference_sensitivity(
         raise DomainError(
             f"step h = {h} is below the float spacing of {parameter_name} = {center}"
         )
-    build = _point_builder(base, parameter_name)
 
     def threshold_at(value: float) -> float | None:
         try:
-            return closed_form_threshold(build(value))
+            return closed_form_threshold(replace(base, **{parameter_name: value}))
         except ParameterError:  # outside the valid parameter region
             return None
 

@@ -124,7 +124,7 @@ def count_calls(monkeypatch, name: str, owner: str = "model") -> list:
 
 def count_checks(monkeypatch) -> dict[str, list]:
     """Record every run of each ``RELATIONAL_CHECKS`` row, by constraint name:
-    the table is shared, so ``validate_params`` and the sweep builder both see
+    the table is shared, so ``validate_params`` and ``grid_sweep`` both see
     the counting rows."""
     calls = {}
     for name, (check, reads) in list(RELATIONAL_CHECKS.items()):

@@ -379,29 +379,39 @@ class TestFlagsPerCommand:
 
 
 class TestErrorPaths:
-    @pytest.mark.parametrize("defect", ["table-missing", "scenario-not-json", "table-empty"])
+    @pytest.mark.parametrize("defect", ["table-missing", "scenario-not-json", "table-empty",
+                                        "table-header"])
     def test_control_bytes_in_a_path_are_escaped(self, tmp_path, capsys, defect):
-        # A path holding a NUL or an escape byte is quoted in the message, so
-        # no control byte reaches the terminal raw, and the exit code stays 2.
-        table = "t\x1b[31m.csv" if defect == "table-empty" else "a\x00\x1b[31mb.csv"
+        # A path or a table header holding a NUL or an escape byte is quoted
+        # in the message, so no control byte reaches the terminal raw, and
+        # the exit code stays 2.
+        header = "year,bank\x1b[31med,total"
+        readable = defect in ("table-empty", "table-header")
+        table = "t\x1b[31m.csv" if readable else "a\x00\x1b[31mb.csv"
         payload = solve_payload(run="case-data", case_data={"path": table})
         scenario = write_json(tmp_path, payload, name="s\x1b[31m.json")
         if defect == "scenario-not-json":
             scenario.write_text("{", encoding="utf-8")
-        if defect == "table-empty":
-            (tmp_path / table).write_bytes(b"")
+        if readable:
+            (tmp_path / table).write_text("" if defect == "table-empty" else f"{header}\n",
+                                          encoding="utf-8")
         # validate checks only that the table exists; case-data reads it.
-        for command in ("case-data",) if defect == "table-empty" else ("validate", "case-data"):
+        for command in ("case-data",) if readable else ("validate", "case-data"):
             code = run([command, "--scenario", scenario])
             err = capsys.readouterr().err
             assert code == 2, err
             named = scenario if defect == "scenario-not-json" else tmp_path / table
             assert repr(str(named)) in err
+            if defect == "table-header":
+                assert err.endswith(f", got {header!r}\n"), err
             assert not re.search(r"[\x00-\x09\x0b-\x1f\x7f]", err), err
 
     def test_missing_scenario_file(self, capsys):
-        assert run(["solve", "--scenario", "/no/such/file.json"]) == 2
-        assert "error" in capsys.readouterr().err
+        # No file name holds a NUL byte, so such a path names no file too.
+        for path in ("/no/such/file.json", "a\x00b.json"):
+            assert run(["solve", "--scenario", path]) == 2
+            assert capsys.readouterr().err == (
+                f"error: [Errno 2] No such file or directory: {path!r}\n")
 
     def test_malformed_scenario(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -655,14 +665,32 @@ COLD_STAGES = [
     ["simulate", 0, ["csv", "numpy", "reformgame.abm", "reformgame.sweep"]],
 ]
 
+# Runs validate and then the given command on one scenario file, reporting
+# after each its exit code and which of the optional modules have loaded.
+VALIDATE_THEN_RUN = """
+import json, sys
+from reformgame.cli import run_command
+
+scenario, run = sys.argv[1:]
+stages = []
+for command in ("validate", run):
+    code = run_command([command, "--scenario", scenario])
+    loaded = [m for m in ("numpy", "reformgame.abm", "reformgame.sweep") if m in sys.modules]
+    stages.append([command, code, loaded])
+print(json.dumps(stages))
+"""
+
+BUNDLED_SCENARIOS = sorted(
+    path.name for path in bundled_path("baseline.json").parent.glob("*.json"))
+
 
 class TestModuleEntryPoint:
     @staticmethod
-    def python(*args):
+    def python(*args, cwd=None):
         src = str(Path(reformgame.__file__).parents[1])
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        return subprocess.run([sys.executable, *args],
+        return subprocess.run([sys.executable, *args], cwd=cwd,
                               env=env, capture_output=True, text=True, timeout=60)
 
     def test_runs_without_warnings(self):
@@ -678,6 +706,22 @@ class TestModuleEntryPoint:
         assert json.loads(proc.stdout.splitlines()[-1]) == COLD_STAGES
         golden = Path(__file__).parent / "golden" / "simulate.csv"
         assert (tmp_path / "simulate.csv").read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_bundled_scenario_exits_and_loads_as_expected(self, tmp_path, name):
+        # A fresh interpreter in an empty directory, so that a relative
+        # case_data.path must resolve against its scenario's directory.
+        scenario = bundled_path(name)
+        run = json.loads(scenario.read_text(encoding="utf-8"))["run"]
+        proc = self.python("-c", VALIDATE_THEN_RUN, str(scenario), run, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        code = 1 if name == "bad_gain_bound.json" else 0  # breaks the participant gain bound
+        # validate loads what checks the run's section; only simulate loads numpy.
+        section = {"simulate": ["reformgame.abm"], "sweep": ["reformgame.sweep"]}.get(run, [])
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            ["validate", code, section],
+            [run, code, ["numpy", *section] if run == "simulate" else section],
+        ], proc.stderr
 
 
 class TestDeterminism:

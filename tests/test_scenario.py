@@ -105,6 +105,11 @@ class TestLoadScenario:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ScenarioParseError):
             load_scenario(path)
+        # CR LF and a lone CR each end one line, as in a text-mode read.
+        for end in ("\r\n", "\r"):
+            path.write_bytes(f'{{{end}"label": x{end}}}'.encode())
+            with pytest.raises(ScenarioParseError, match=r"line 2 column 10 \(char 11\)\)$"):
+                load_scenario(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

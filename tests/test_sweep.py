@@ -26,7 +26,7 @@ from reformgame import (
     success_response_series,
 )
 from reformgame.model import PARAM_RANGES, RELATIONAL_CHECKS
-from reformgame.sweep import SWEEPABLE_PARAMETERS, SweepPoint, _point_builder
+from reformgame.sweep import SWEEPABLE_PARAMETERS, SweepPoint
 
 from conftest import (
     BASELINE,
@@ -296,47 +296,9 @@ def _sweep_values(lo: float, hi: float, center: float):
             | st.floats(0.0, 3.0).map(lambda f: f * center))
 
 
-@st.composite
-def sweep_points(draw):
-    base = random_valid_params(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
-    name = draw(st.sampled_from(SWEEPABLE_PARAMETERS))
-    lo, hi, _ = PARAM_RANGES[name]
-    return base, name, draw(_sweep_values(lo, hi, getattr(base, name)))
-
-
 class TestPointBuilder:
-    @given(case=sweep_points())
-    @settings(max_examples=600, deadline=None)
-    def test_same_as_the_constructor(self, case):
-        base, name, value = case
-        build = _point_builder(base, name)
-        try:
-            expected = ModelParams(**{**vars(base), name: value})
-        except Exception as exc:
-            with pytest.raises(Exception) as err:
-                build(value)
-            assert type(err.value) is type(exc)
-            assert err.value.constraint == exc.constraint
-            assert str(err.value) == str(exc)
-            return
-        built = build(value)
-        assert built == expected
-        assert hash(built) == hash(expected)
-        assert repr(built) == repr(expected)
-        assert vars(built) == vars(expected)
-
-    def test_later_changes_to_the_dict_do_not_leak(self):
-        # The builder reuses one dict of fields; each point keeps its own.
-        build = _point_builder(BASELINE, "theta")
-        first = build(0.2)
-        build(0.9)
-        with pytest.raises(ParameterError):
-            build(1.5)
-        assert first == BASELINE
-        assert vars(first) == vars(BASELINE)
-
     def test_instances_keep_a_dict(self):
-        # The builder copies vars(base) and fills a fresh instance's dict.
+        # grid_sweep copies vars(base) and fills fresh instances' dicts from it.
         assert "__slots__" not in vars(ModelParams)
         assert list(vars(BASELINE)) == [f.name for f in fields(ModelParams)]
 
@@ -477,6 +439,16 @@ class TestFiniteDifferenceSensitivity:
         # Derivative of theta/(1.5 + theta) at 0 is 1/1.5.
         value = finite_difference_sensitivity(make_params(theta=0.0), "theta", h=1e-6)
         assert value == pytest.approx(2 / 3, rel=1e-5)
+
+    def test_gain_bound_falls_back_to_one_sided(self):
+        # Gamma_gain + h breaks the participant gain bound, here
+        # Gamma_gain < kappa_max/(a*gamma) = 2.5; the lower side applies.
+        base, h = make_params(Gamma_gain=2.5 - 5e-7), 1e-6
+        with pytest.raises(ParameterError, match="^participant_gain_bound: "):
+            make_params(Gamma_gain=base.Gamma_gain + h)
+        lower = make_params(Gamma_gain=base.Gamma_gain - h)
+        expected = (closed_form_threshold(base) - closed_form_threshold(lower)) / h
+        assert finite_difference_sensitivity(base, "Gamma_gain", h) == expected
 
     @pytest.mark.parametrize(
         "name,analytic",
