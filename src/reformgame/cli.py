@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(scenario: Scenario) -> None:
-    print(f"scenario '{scenario.label}': parameters valid "
+    print(f"scenario {scenario.label!r}: parameters valid "
           f"({scenario.params.leader_type.value} policy maker, run = {scenario.run.value})")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -147,11 +148,11 @@ def grid_sweep(
 
     - it checks the field's :data:`PARAM_RANGES` row without raising;
     - only when a :data:`RELATIONAL_CHECKS` row or ``effective_gain``
-      reads the field, it fills a fresh ``ModelParams``'s ``__dict__`` from
-      the base's fields, copied once per sweep, with the value set, and runs
-      the rows that read the field, in table order; every other check reads
-      only the base's values, which passed, so a point is skipped with the
-      constructor's text;
+      reads the field, it sets the value in one scratch copy of the base,
+      made once per sweep, and runs the rows that read the field, in table
+      order; a row returns its rule's text, so a point is skipped with the
+      constructor's text and raises nothing, and every other check reads
+      only the base's values, which passed;
     - ``effective_gain`` and ``scale = a*gamma*Gamma_eff`` are computed once
       per sweep unless the field feeds them (``a``, ``gamma``,
       ``Gamma_gain``, and ``s`` and ``p2`` for a partisan);
@@ -174,8 +175,10 @@ def grid_sweep(
     lo, hi, _ = PARAM_RANGES[parameter_name]
     feeds_gain = parameter_name in _GAIN_FIELDS[base.leader_type]
     feeds_scale = feeds_gain or parameter_name in ("a", "gamma")
-    checks = [check for check, reads in RELATIONAL_CHECKS.values() if parameter_name in reads]
-    fields = dict(vars(base)) if checks or feeds_gain else None
+    checks = [(constraint, check) for constraint, (check, reads) in RELATIONAL_CHECKS.items()
+              if parameter_name in reads]
+    # A scratch copy of the base that never leaves this call; a point sets its field.
+    point = copy(base) if checks or feeds_gain else None
     # The kernel's arguments at the base; a point overwrites what it changes.
     gain = effective_gain(base)
     args = [base.a * base.gamma * gain, *(getattr(base, name) for name in _KERNEL_FIELDS)]
@@ -192,15 +195,15 @@ def grid_sweep(
             # The text of the error the ModelParams constructor would raise.
             skipped.append((value, f"field_range: {_range_message(parameter_name, value)}"))
             continue
-        if fields is not None:
-            fields[parameter_name] = value
-            point = object.__new__(ModelParams)
-            point.__dict__.update(fields)
-            try:
-                for check in checks:
-                    check(point)
-            except ParameterError as exc:
-                skipped.append((value, str(exc)))
+        if point is not None:
+            point.__dict__[parameter_name] = value  # frozen: write past __setattr__
+            reason = None
+            for constraint, check in checks:
+                reason = check(point)
+                if reason is not None:
+                    break
+            if reason is not None:
+                skipped.append((value, f"{constraint}: {reason}"))
                 continue
             if feeds_gain:
                 gain = effective_gain(point)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 import sys
 from dataclasses import replace
@@ -125,12 +126,13 @@ def count_calls(monkeypatch, name: str, owner: str = "model") -> list:
 def count_checks(monkeypatch) -> dict[str, list]:
     """Record every run of each ``RELATIONAL_CHECKS`` row, by constraint name:
     the table is shared, so ``validate_params`` and ``grid_sweep`` both see
-    the counting rows."""
+    the counting rows. Each run records a copy of the parameters it read,
+    since a sweep passes one scratch instance whose field it overwrites."""
     calls = {}
     for name, (check, reads) in list(RELATIONAL_CHECKS.items()):
         def counting(params, check=check, seen=calls.setdefault(name, [])):
-            seen.append(params)
-            check(params)
+            seen.append(copy.copy(params))
+            return check(params)
 
         monkeypatch.setitem(RELATIONAL_CHECKS, name, (counting, reads))
     return calls

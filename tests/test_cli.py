@@ -109,6 +109,15 @@ class TestValidate:
         assert run(["validate", "--scenario", bundled_path("baseline.json")]) == 0
         assert "parameters valid" in capsys.readouterr().out
 
+    def test_label_prints_quoted(self, tmp_path, capsys):
+        # A control byte in the label reaches stdout escaped, never raw.
+        scenario = write_json(tmp_path, solve_payload(label="x\u001b[31my"))
+        assert run(["validate", "--scenario", scenario]) == 0
+        out = capsys.readouterr().out
+        assert "\x1b" not in out
+        assert out == ("scenario 'x\\x1b[31my': parameters valid "
+                       "(non-partisan policy maker, run = solve)\n")
+
     def test_gain_bound_violation_exits_one(self, capsys):
         code = run(["validate", "--scenario", bundled_path("bad_gain_bound.json")])
         assert code == 1
@@ -227,6 +236,30 @@ class TestSweep:
                 "Gamma_gain, p1, p2, s, q, w, G2, G3; got 'zeta'"
             ]
             assert not out.exists()
+
+    def test_skipped_points_reach_stderr_and_the_result(self, tmp_path, capsys):
+        # kappa_max/(a*gamma) = 2.5: the grid crosses Gamma_gain's range at
+        # 0 and the participant gain bound at 2.5.
+        grid = [-1.0, 0.0, 1.0, 2.0, 2.4, 2.5, 3.0]
+        payload = solve_payload(run="sweep",
+                                sweep={"parameter_name": "Gamma_gain", "values": grid})
+        scenario = write_json(tmp_path, payload)
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "--scenario", scenario, "--format", "json", "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "sweep over Gamma_gain (3 points): kappa_star is Increasing\n"
+        bound = "participant_gain_bound: a*gamma*Gamma_gain must be < kappa_max = 1.0"
+        skipped = [
+            [-1.0, "field_range: Gamma_gain must be > 0, got -1.0"],
+            [0.0, "field_range: Gamma_gain must be > 0, got 0.0"],
+            [2.5, f"{bound}, got 1.0 (Gamma_gain = 2.5)"],
+            [3.0, f"{bound}, got 1.2000000000000002 (Gamma_gain = 3.0)"],
+        ]
+        assert captured.err.splitlines() == [
+            f"  skipped Gamma_gain = {value:g}: {reason}" for value, reason in skipped]
+        result = json.loads(out.read_text(encoding="utf-8"))
+        assert result["values"] == [1.0, 2.0, 2.4]
+        assert result["skipped"] == skipped
 
 
 class TestCaseData:

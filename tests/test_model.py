@@ -284,22 +284,35 @@ class TestValidateParams:
         with pytest.raises(ParameterError) as err:
             validate_params(make_params(G3=3.6))
         assert err.value.constraint == "reformer_gain_bound"
+        assert str(err.value) == (
+            "reformer_gain_bound: G3 must be < q/((1-p1)*a*gamma) = 3.5714285714285716, got 3.6")
         with pytest.raises(ParameterError) as err:
             validate_params(
                 make_params(leader_type=LeaderType.PARTISAN, G2=4.0, G3=1.0)
             )
         assert err.value.constraint == "reformer_gain_bound"
+        assert str(err.value) == (
+            "reformer_gain_bound: G2 must be < q/((1-p1)*a*gamma) = 3.5714285714285716, got 4.0")
 
     def test_leader_gain_profile(self):
         with pytest.raises(ParameterError) as err:
             validate_params(make_params(G2=0.1))
         assert err.value.constraint == "leader_gain_profile"
+        assert str(err.value) == (
+            "leader_gain_profile: a non-partisan policy maker requires G2 = 0 and G3 > 0, "
+            "got G2 = 0.1, G3 = 1.0")
         with pytest.raises(ParameterError) as err:
             validate_params(make_params(G3=0.0))
         assert err.value.constraint == "leader_gain_profile"
+        assert str(err.value) == (
+            "leader_gain_profile: a non-partisan policy maker requires G2 = 0 and G3 > 0, "
+            "got G2 = 0.0, G3 = 0.0")
         with pytest.raises(ParameterError) as err:
             validate_params(make_params(leader_type=LeaderType.PARTISAN, G2=0.0))
         assert err.value.constraint == "leader_gain_profile"
+        assert str(err.value) == (
+            "leader_gain_profile: a partisan policy maker requires G2 > 0 and G3 > 0, "
+            "got G2 = 0.0, G3 = 1.0")
 
     @pytest.mark.parametrize(
         "overrides",

@@ -188,10 +188,21 @@ class TestGridSweep:
         # A point runs its field's range check and only the relational
         # checks that read the field: none for theta, and only the
         # participant gain bound, once per in-range value, for Gamma_gain.
+        # A skipped point builds no exception, and the scratch point the
+        # sweep overwrites leaves the base as it was.
         base = make_params()
+        base_fields, base_hash = dict(vars(base)), hash(base)
         validations = count_calls(monkeypatch, "validate_params")
         results = count_calls(monkeypatch, "EquilibriumResult", owner="equilibrium")
         checks = count_checks(monkeypatch)
+        errors = []
+        real_init = ParameterError.__init__
+
+        def counting_init(self, *args):
+            errors.append(args)
+            real_init(self, *args)
+
+        monkeypatch.setattr(ParameterError, "__init__", counting_init)
         grid = [-0.5, -0.1, 0.0, 0.3, 0.7, 1.0, 1.2]  # three points out of range
         series = grid_sweep(base, "theta", grid)
         assert (len(series.values), len(series.skipped)) == (4, 3)
@@ -205,10 +216,25 @@ class TestGridSweep:
         assert [p.Gamma_gain for p in checks["participant_gain_bound"]] == in_range
         assert checks["leader_gain_profile"] == checks["reformer_gain_bound"] == []
 
+        # G3 = 0 breaks the leader gain profile, 3.6 the reformer bound 3.57.
+        series = grid_sweep(base, "G3", [-1.0, 0.0, 1.0, 3.6])
+        assert series.values == (1.0,)
+        assert [reason.split(":")[0] for _, reason in series.skipped] == [
+            "field_range", "leader_gain_profile", "reformer_gain_bound"]
+        # Rows run in table order and stop at the first that fails.
+        assert [p.G3 for p in checks["leader_gain_profile"]] == [0.0, 1.0, 3.6]
+        assert [p.G3 for p in checks["reformer_gain_bound"]] == [1.0, 3.6]
+
+        assert errors == []
+        assert (vars(base), hash(base)) == (base_fields, base_hash)
+        assert base == BASELINE
         assert validations == []
         assert results == []
         solve_fixed_point(base)  # the counter sees a solve's record
         assert len(results) == 1
+        with pytest.raises(ParameterError):
+            make_params(G3=3.6)
+        assert len(errors) == 1  # the counter sees the constructor's error
 
     @pytest.mark.parametrize("base", [TIGHT, TIGHT_PARTISAN], ids=["non-partisan", "partisan"])
     def test_same_as_a_loop_of_constructor_and_solver(self, base):
@@ -298,7 +324,7 @@ def _sweep_values(lo: float, hi: float, center: float):
 
 class TestPointBuilder:
     def test_instances_keep_a_dict(self):
-        # grid_sweep copies vars(base) and fills fresh instances' dicts from it.
+        # grid_sweep overwrites the varied field in the dict of a copy of the base.
         assert "__slots__" not in vars(ModelParams)
         assert list(vars(BASELINE)) == [f.name for f in fields(ModelParams)]
 
