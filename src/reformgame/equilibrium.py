@@ -15,6 +15,7 @@ below 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Mapping
 
 from .model import (
     DomainError,
@@ -100,10 +101,14 @@ def effective_gain(params: ModelParams) -> float:
     belief that the state benefits the majority; only then does the gain
     read ``s`` and ``p2`` (see ``_GAIN_FIELDS``).
     """
-    if params.leader_type is LeaderType.NON_PARTISAN:
-        return params.Gamma_gain
-    belief = posterior_change_state(params.s, params.p2, params.posterior_convention)
-    return params.Gamma_gain * belief
+    return _gain(vars(params))
+
+
+def _gain(f: Mapping[str, Any]) -> float:
+    """:func:`effective_gain` of a parameter set's field mapping."""
+    if f["leader_type"] is LeaderType.NON_PARTISAN:
+        return f["Gamma_gain"]
+    return f["Gamma_gain"] * posterior_change_state(f["s"], f["p2"], f["posterior_convention"])
 
 
 def best_response_map(params: ModelParams, kappa: float) -> float:
@@ -140,42 +145,42 @@ def closed_form_threshold(params: ModelParams) -> float:
     stated comparative statics, and is kept for reference only. To compare
     the two forms, call this on ``replace(params, threshold_convention=...)``.
     """
-    return _closed_form(params.a * params.gamma * effective_gain(params), params.theta,
-                        params.kappa_max, params.threshold_convention)
+    return _closed_form(vars(params), effective_gain(params))
 
 
-def _closed_form(scale: float, theta: float, kappa_max: float,
-                 convention: ThresholdConvention) -> float:
-    """:func:`closed_form_threshold` on floats, ``scale`` being ``a*gamma*Gamma_eff``."""
+def _closed_form(f: Mapping[str, Any], gain: float) -> float:
+    """:func:`closed_form_threshold` of a field mapping whose effective gain is ``gain``."""
+    scale = f["a"] * f["gamma"] * gain
+    theta, kappa_max = f["theta"], f["kappa_max"]
     if scale == 0.0:
         # A partisan call with no perceived gain (p2 = 0 under the PAPER
         # posterior, p2 = 1 under BAYES). With no followers (theta = 0)
         # both forms below give 0.0 on their own.
         return 0.0
-    if convention is ThresholdConvention.PAPER_LITERAL:
+    if f["threshold_convention"] is ThresholdConvention.PAPER_LITERAL:
         return theta / (1.0 / scale + (1.0 - theta) / kappa_max)
     share = theta * scale / ((kappa_max - scale) + scale * theta)
     return share * kappa_max
 
 
-# The fields _fixed_point takes after scale = a*gamma*Gamma_eff, in its
-# argument order.
-_KERNEL_FIELDS = ("theta", "kappa_max", "gamma", "a", "phi")
+# The fields _fixed_point reads besides the effective gain.
+_KERNEL_FIELDS = frozenset({"a", "gamma", "theta", "kappa_max", "phi"})
 
 
-def _fixed_point(
-    scale: float, theta: float, kappa_max: float, gamma: float, a: float, phi: float
-) -> tuple[float, float, float, int, float]:
-    """The solver's kernel, on floats; it reads :data:`MAX_ITER` at each call.
+def _fixed_point(f: Mapping[str, Any], gain: float) -> tuple[float, float, float, int, float]:
+    """The solver's kernel on a field mapping whose effective gain is ``gain``;
+    it reads :data:`MAX_ITER` at each call.
 
-    ``scale`` is ``a*gamma*Gamma_eff``. Returns ``(kappa_star, x_star,
-    psi_star, iterations, residual)``; :func:`solve_fixed_point` documents
-    the method. The caller passes the fields of a valid parameter set, so
-    ``psi_star`` is ``a * x_star**phi / phi``, the expression of
-    :func:`~reformgame.model.success_probability`, without its domain
-    checks. A zero seed needs no case of its own: validation keeps
-    ``kappa_max - scale > 0``, so ``1-L`` is positive and the start is 0.0.
+    Returns ``(kappa_star, x_star, psi_star, iterations, residual)``;
+    :func:`solve_fixed_point` documents the method. The caller passes the
+    fields of a valid parameter set, so ``psi_star`` is ``a * x_star**phi /
+    phi``, the expression of :func:`~reformgame.model.success_probability`,
+    without its domain checks. A zero seed needs no case of its own:
+    validation keeps ``kappa_max - a*gamma*gain > 0``, so ``1-L`` is
+    positive and the start is 0.0.
     """
+    a, gamma, theta, kappa_max, phi = f["a"], f["gamma"], f["theta"], f["kappa_max"], f["phi"]
+    scale = a * gamma * gain
     seed = scale * theta
     slope = scale * (1.0 - theta) / kappa_max
 
@@ -217,16 +222,15 @@ def solve_fixed_point(params: ModelParams) -> EquilibriumResult:
     is ``gamma*(theta + (1-theta)*kappa_star/kappa_max)`` and ``psi_star``
     is :func:`~reformgame.model.success_probability` of it.
 
-    It computes ``Gamma_eff`` and ``s`` once, for the private kernel
-    ``_fixed_point`` (which ``grid_sweep`` calls too) and for the distance
-    to ``_closed_form`` under ``params.threshold_convention``.
+    It computes ``Gamma_eff`` once and passes it, with the field mapping
+    ``vars(params)``, to the private kernel ``_fixed_point`` (which
+    ``grid_sweep`` calls on its own mapping) and to ``_closed_form`` for the
+    gap under ``params.threshold_convention``.
     """
+    fields = vars(params)
     gain = effective_gain(params)
-    scale = params.a * params.gamma * gain
-    kappa, x_star, psi_star, iterations, residual = _fixed_point(
-        scale, params.theta, params.kappa_max, params.gamma, params.a, params.phi)
-    gap = abs(kappa - _closed_form(scale, params.theta, params.kappa_max,
-                                   params.threshold_convention))
+    kappa, x_star, psi_star, iterations, residual = _fixed_point(fields, gain)
+    gap = abs(kappa - _closed_form(fields, gain))
     return EquilibriumResult(
         convention=params.threshold_convention,
         kappa_star=kappa,

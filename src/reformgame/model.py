@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
-from typing import Callable
+from typing import Any, Callable, Mapping
 
 __all__ = [
     "DomainError",
@@ -87,42 +87,44 @@ def _range_message(name: str, value: float) -> str:
     return f"{name} {rule}, got {value}"
 
 
-def _leader_gain_profile(params: ModelParams) -> str | None:
-    if params.leader_type is LeaderType.NON_PARTISAN:
-        if params.G2 != 0.0 or not params.G3 > 0.0:
+def _leader_gain_profile(f: Mapping[str, Any]) -> str | None:
+    if f["leader_type"] is LeaderType.NON_PARTISAN:
+        if f["G2"] != 0.0 or not f["G3"] > 0.0:
             return (f"a non-partisan policy maker requires G2 = 0 and G3 > 0, "
-                    f"got G2 = {params.G2}, G3 = {params.G3}")
-    elif not (params.G2 > 0.0 and params.G3 > 0.0):
+                    f"got G2 = {f['G2']}, G3 = {f['G3']}")
+    elif not (f["G2"] > 0.0 and f["G3"] > 0.0):
         return (f"a partisan policy maker requires G2 > 0 and G3 > 0, "
-                f"got G2 = {params.G2}, G3 = {params.G3}")
+                f"got G2 = {f['G2']}, G3 = {f['G3']}")
     return None
 
 
-def _participant_gain_bound(params: ModelParams) -> str | None:
+def _participant_gain_bound(f: Mapping[str, Any]) -> str | None:
     # Tested as a product, associated as the solver forms it, so that
     # kappa_max - a*gamma*Gamma_eff stays positive in floating point.
-    product = params.a * params.gamma * params.Gamma_gain
-    if not product < params.kappa_max:
-        return (f"a*gamma*Gamma_gain must be < kappa_max = {params.kappa_max}, "
-                f"got {product} (Gamma_gain = {params.Gamma_gain})")
+    product = f["a"] * f["gamma"] * f["Gamma_gain"]
+    if not product < f["kappa_max"]:
+        return (f"a*gamma*Gamma_gain must be < kappa_max = {f['kappa_max']}, "
+                f"got {product} (Gamma_gain = {f['Gamma_gain']})")
     return None
 
 
-def _reformer_gain_bound(params: ModelParams) -> str | None:
-    if params.p1 < 1.0:
-        reformer_bound = params.q / ((1.0 - params.p1) * params.a * params.gamma)
-        for name, gain in (("G2", params.G2), ("G3", params.G3)):
+def _reformer_gain_bound(f: Mapping[str, Any]) -> str | None:
+    if f["p1"] < 1.0:
+        reformer_bound = f["q"] / ((1.0 - f["p1"]) * f["a"] * f["gamma"])
+        for name, gain in (("G2", f["G2"]), ("G3", f["G3"])):
             if gain > 0.0 and not gain < reformer_bound:
                 return f"{name} must be < q/((1-p1)*a*gamma) = {reformer_bound}, got {gain}"
     return None
 
 
 # The checks that relate several fields, in the order validate_params runs
-# them after the ranges, each with every field it reads. A row returns the
-# violated rule's text, or None when the parameters pass; its key is the only
-# name of its constraint. A parameter set that differs from a valid one in a
-# single field can fail only that field's range or a row reading it.
-RELATIONAL_CHECKS: dict[str, tuple[Callable[[ModelParams], str | None], tuple[str, ...]]] = {
+# them after the ranges, each with every field it reads. A row takes a
+# parameter set's field mapping (``vars(params)``, or a sweep's point) and
+# returns the violated rule's text, or None when the fields pass; its key is
+# the only name of its constraint. A parameter set that differs from a valid
+# one in a single field can fail only that field's range or a row reading it.
+RELATIONAL_CHECKS: dict[str, tuple[Callable[[Mapping[str, Any]], str | None],
+                                   tuple[str, ...]]] = {
     "leader_gain_profile": (_leader_gain_profile, ("leader_type", "G2", "G3")),
     "participant_gain_bound": (
         _participant_gain_bound, ("a", "gamma", "Gamma_gain", "kappa_max")),
@@ -240,9 +242,6 @@ class ModelParams:
     that is a real number as a ``float``, so a numpy ``float32`` or an
     ``int`` is solved in double precision, then calls
     :func:`validate_params`.
-    Instances keep a ``__dict__`` (no ``slots``): a sweep copies the base
-    once into a scratch instance and overwrites the varied field in its
-    ``__dict__`` for each point, validating only what that field can break.
     """
 
     a: float
@@ -377,28 +376,29 @@ def validate_params(params: ModelParams) -> ModelParams:
     participant gain too large for partial participation
     (``participant_gain_bound``), and a policy-maker gain breaking the
     interior information-effort solution (``reformer_gain_bound``). A
-    relational row returns its rule's text, and the row's key is the
-    ``constraint`` raised with it. Comparisons are exact; the bounds are
-    strict. Constructing a :class:`ModelParams` calls this; a sweep point,
-    which differs from a valid base in one field, runs only that field's
-    range and the table rows that read it, and reads their text without
-    raising.
+    relational row reads the field mapping ``vars(params)`` and returns its
+    rule's text, and the row's key is the ``constraint`` raised with it.
+    Comparisons are exact; the bounds are strict. Constructing a
+    :class:`ModelParams` calls this; a sweep point, a mapping that differs
+    from a valid base's in one field, runs only that field's range and the
+    table rows that read it, and reads their text without raising.
     """
+    fields = vars(params)
     for name, (lo, hi, _) in PARAM_RANGES.items():
-        value = getattr(params, name)
+        value = fields[name]
         # float and int first: they match without the ABC's slower check.
         if not isinstance(value, (float, int, Real)):
             raise ParameterError("field_range", f"{name} must be a real number, got {value!r}")
         if not lo <= value <= hi:
             raise ParameterError("field_range", _range_message(name, value))
     for name, choices in _CHOICE_FIELDS.items():
-        value = getattr(params, name)
+        value = fields[name]
         if not isinstance(value, choices):
             raise ParameterError(
                 "field_range", f"{name} must be a {choices.__name__} member, got {value!r}"
             )
     for constraint, (check, _) in RELATIONAL_CHECKS.items():
-        reason = check(params)
+        reason = check(fields)
         if reason is not None:
             raise ParameterError(constraint, reason)
     return params

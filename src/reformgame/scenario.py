@@ -409,7 +409,7 @@ def _json(value: Any) -> Any:
 
 def _layout(result: Any) -> tuple[list[dict[str, Any]], Any]:
     """A result's CSV rows, one per record or kept sweep point, and its JSON
-    document; TypeError for a result no writer takes."""
+    document; TypeError for a result no writer takes or mixed record types."""
     if isinstance(result, _loaded("sweep", "SweepSeries")):
         points = [{"kappa_star": k, "x_star": x, "psi_star": p}
                   for k, x, p in zip(result.kappa_star, result.x_star, result.psi_star)]
@@ -420,8 +420,12 @@ def _layout(result: Any) -> tuple[list[dict[str, Any]], Any]:
                       "target": "kappa_star", "skipped": result.skipped}
     records = result if isinstance(result, (list, tuple)) else [result]
     kinds = (EquilibriumResult, BancarizationSeries, *_loaded("abm", "AbmEstimate"))
-    if not records or not all(isinstance(record, kinds) for record in records):
+    if not records or not isinstance(records[0], kinds):
         raise TypeError(f"no writer for results of type {type(result).__name__}")
+    for record in records:  # one kind per result, so that every row has the header's columns
+        if type(record) is not type(records[0]):
+            raise TypeError(f"cannot write {type(record).__name__} records with "
+                            f"{type(records[0]).__name__} records in one result")
     rows = [vars(record) for record in records]
     return rows, rows if records is result else rows[0]
 
@@ -435,15 +439,15 @@ def write_results(result: Any, path: str | Path, format: str = "csv") -> None:
     """Persist a result as CSV or JSON.
 
     Takes a sweep series, or an equilibrium result, a Monte Carlo estimate
-    or case-table rows, alone or as a non-empty list or tuple; anything
-    else, an equilibrium report included, raises TypeError. An unknown
-    format raises ValueError before the result is looked at. A record's
-    CSV columns and JSON keys are its dataclass fields in declaration
-    order; a sweep's CSV has one row per kept point, and its JSON has the
-    keys parameter_name, values, outputs (one object per kept point),
-    monotonicity, target and skipped. Floats carry 12 significant digits and
-    the output contains nothing run-dependent, so rewriting the same
-    result yields byte-identical files.
+    or case-table rows, alone or as a non-empty list or tuple of one record
+    type; anything else, an equilibrium report or a mixed list included,
+    raises TypeError. An unknown format raises ValueError before the result
+    is looked at. A record's CSV columns and JSON keys are its dataclass
+    fields in declaration order; a sweep's CSV has one row per kept point,
+    and its JSON has the keys parameter_name, values, outputs (one object
+    per kept point), monotonicity, target and skipped. Floats carry 12
+    significant digits and the output contains nothing run-dependent, so
+    rewriting the same result yields byte-identical files.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown output format {format!r}; expected 'csv' or 'json'")

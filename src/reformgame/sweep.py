@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from copy import copy
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -12,6 +11,7 @@ from .equilibrium import (
     _GAIN_FIELDS,
     _KERNEL_FIELDS,
     _fixed_point,
+    _gain,
     closed_form_threshold,
     effective_gain,
 )
@@ -143,27 +143,27 @@ def grid_sweep(
     valid point at all is an error. The monotonicity verdict applies to
     kappa_star over the retained points.
 
-    A point computes only what its varied field changes, and its numbers
-    are those of ``solve_fixed_point`` bit for bit:
+    A point is the base's field mapping, ``dict(vars(base))``, copied once
+    per sweep, with the varied field set to the point's value. It computes
+    only what that field changes, and its numbers are those of
+    ``solve_fixed_point`` bit for bit:
 
     - it checks the field's :data:`PARAM_RANGES` row without raising;
-    - only when a :data:`RELATIONAL_CHECKS` row or ``effective_gain``
-      reads the field, it sets the value in one scratch copy of the base,
-      made once per sweep, and runs the rows that read the field, in table
-      order; a row returns its rule's text, so a point is skipped with the
-      constructor's text and raises nothing, and every other check reads
-      only the base's values, which passed;
-    - ``effective_gain`` and ``scale = a*gamma*Gamma_eff`` are computed once
-      per sweep unless the field feeds them (``a``, ``gamma``,
-      ``Gamma_gain``, and ``s`` and ``p2`` for a partisan);
-    - the solver's kernel runs once per kept point, or once per sweep when
-      it reads none of the field's effects (``p1``, ``q``, ``w``, ``G2``,
-      ``G3``, and ``s`` and ``p2`` for a non-partisan).
+    - it runs, in table order, the :data:`RELATIONAL_CHECKS` rows that read
+      the field, on the point's mapping; a row returns its rule's text, so a
+      point is skipped with the constructor's text and raises nothing, and
+      every other check reads only the base's values, which passed;
+    - ``effective_gain`` is computed once per sweep unless the field feeds
+      it (``Gamma_gain``, and ``s`` and ``p2`` for a partisan);
+    - the solver's kernel runs on the point's mapping once per kept point,
+      or once per sweep when it reads none of the field's effects (``p1``,
+      ``q``, ``w``, ``G2``, ``G3``, and ``s`` and ``p2`` for a
+      non-partisan).
 
-    No ``EquilibriumResult`` or closed-form gap is built. A kept point
-    appends its three floats to the series' columns and builds no record;
-    the garbage collector does not track floats, so a long sweep starts no
-    collection.
+    No ``ModelParams``, ``EquilibriumResult`` or closed-form gap is built.
+    A kept point appends its three floats to the series' columns and builds
+    no record; the garbage collector does not track floats, so a long sweep
+    starts no collection.
     """
     if parameter_name not in SWEEPABLE_PARAMETERS:
         raise DomainError(
@@ -174,16 +174,13 @@ def grid_sweep(
 
     lo, hi, _ = PARAM_RANGES[parameter_name]
     feeds_gain = parameter_name in _GAIN_FIELDS[base.leader_type]
-    feeds_scale = feeds_gain or parameter_name in ("a", "gamma")
     checks = [(constraint, check) for constraint, (check, reads) in RELATIONAL_CHECKS.items()
               if parameter_name in reads]
-    # A scratch copy of the base that never leaves this call; a point sets its field.
-    point = copy(base) if checks or feeds_gain else None
-    # The kernel's arguments at the base; a point overwrites what it changes.
+    point = dict(vars(base))  # this sweep's own mapping; each in-range point sets its value
     gain = effective_gain(base)
-    args = [base.a * base.gamma * gain, *(getattr(base, name) for name in _KERNEL_FIELDS)]
-    slot = _KERNEL_FIELDS.index(parameter_name) + 1 if parameter_name in _KERNEL_FIELDS else 0
-    solved = None if slot or feeds_gain else _fixed_point(*args)[:3]
+    solved = None  # the kernel runs once per sweep if it reads nothing the field changes
+    if not (feeds_gain or parameter_name in _KERNEL_FIELDS):
+        solved = _fixed_point(point, gain)[:3]
 
     kept: list[float] = []
     kappas: list[float] = []
@@ -195,27 +192,20 @@ def grid_sweep(
             # The text of the error the ModelParams constructor would raise.
             skipped.append((value, f"field_range: {_range_message(parameter_name, value)}"))
             continue
-        if point is not None:
-            point.__dict__[parameter_name] = value  # frozen: write past __setattr__
-            reason = None
-            for constraint, check in checks:
-                reason = check(point)
-                if reason is not None:
-                    break
+        point[parameter_name] = value
+        for constraint, check in checks:
+            reason = check(point)
             if reason is not None:
                 skipped.append((value, f"{constraint}: {reason}"))
-                continue
+                break
+        else:  # no row failed
             if feeds_gain:
-                gain = effective_gain(point)
-        if slot:
-            args[slot] = value
-        if feeds_scale:
-            args[0] = args[4] * args[3] * gain  # a * gamma * gain, as the solver forms it
-        kappa_star, x_star, psi_star = solved or _fixed_point(*args)[:3]
-        kept.append(value)
-        kappas.append(kappa_star)
-        xs.append(x_star)
-        psis.append(psi_star)
+                gain = _gain(point)
+            kappa_star, x_star, psi_star = solved or _fixed_point(point, gain)[:3]
+            kept.append(value)
+            kappas.append(kappa_star)
+            xs.append(x_star)
+            psis.append(psi_star)
     if not kept:
         raise ParameterError(
             "sweep_grid",

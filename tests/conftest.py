@@ -1,19 +1,22 @@
-"""Shared fixtures: the baseline parameter set and a random-params generator."""
+"""Shared fixtures: the baseline parameter set and random-params generators."""
 
 from __future__ import annotations
 
 import copy
+import math
 import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
 from reformgame import (
     LeaderType,
     ModelParams,
+    ParameterError,
     PosteriorConvention,
     ThresholdConvention,
 )
@@ -101,6 +104,45 @@ def random_valid_params(
     )
 
 
+FLOAT_MAX = sys.float_info.max
+OPEN_UNIT = st.floats(1e-12, 1.0 - 1e-12)
+
+
+@st.composite
+def any_model_params(draw):
+    """A valid parameter set from anywhere in the float range.
+
+    ``kappa_max`` spans subnormals to the largest float, ``theta`` hits 0
+    and values just above it, and ``Gamma_gain`` is often the last float
+    below ``kappa_max/(a*gamma)``.
+    """
+    a, gamma = draw(OPEN_UNIT), draw(OPEN_UNIT)
+    kappa_max = draw(st.floats(5e-324, FLOAT_MAX))
+    theta = draw(st.sampled_from([0.0, 5e-324, 1e-17, 1e-12]) | st.floats(0.0, 1.0))
+    bound = min(kappa_max / (a * gamma), FLOAT_MAX)
+    gain = draw(st.just(math.nextafter(bound, 0.0))
+                | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+                    lambda share: share * bound))
+    leader_type = draw(st.sampled_from(LeaderType))
+    p1, q = draw(st.floats(0.0, 1.0)), draw(st.floats(5e-324, FLOAT_MAX))
+    reformer_bound = min(q / ((1.0 - p1) * a * gamma), FLOAT_MAX) if p1 < 1.0 else q
+    shares = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    fields = dict(
+        a=a, phi=draw(st.floats(1.0, FLOAT_MAX, exclude_min=True)), theta=theta,
+        gamma=gamma, kappa_max=kappa_max, Gamma_gain=gain, p1=p1,
+        p2=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)), s=draw(OPEN_UNIT),
+        q=q, w=draw(st.floats(0.0, FLOAT_MAX)),
+        G2=draw(shares) * reformer_bound if leader_type is LeaderType.PARTISAN else 0.0,
+        G3=draw(shares) * reformer_bound, leader_type=leader_type,
+        threshold_convention=draw(st.sampled_from(ThresholdConvention)),
+        posterior_convention=draw(st.sampled_from(PosteriorConvention)),
+    )
+    try:
+        return ModelParams(**fields)
+    except ParameterError:
+        assume(False)
+
+
 @pytest.fixture
 def baseline() -> ModelParams:
     return BASELINE
@@ -126,8 +168,8 @@ def count_calls(monkeypatch, name: str, owner: str = "model") -> list:
 def count_checks(monkeypatch) -> dict[str, list]:
     """Record every run of each ``RELATIONAL_CHECKS`` row, by constraint name:
     the table is shared, so ``validate_params`` and ``grid_sweep`` both see
-    the counting rows. Each run records a copy of the parameters it read,
-    since a sweep passes one scratch instance whose field it overwrites."""
+    the counting rows. Each run records a copy of the field mapping it read,
+    since a sweep passes one dict whose varied field it overwrites."""
     calls = {}
     for name, (check, reads) in list(RELATIONAL_CHECKS.items()):
         def counting(params, check=check, seen=calls.setdefault(name, [])):

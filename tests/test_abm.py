@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 
@@ -29,7 +30,7 @@ from reformgame import (
 from reformgame.abm import _state_from_uniform
 from reformgame.equilibrium import effective_gain
 
-from conftest import make_params
+from conftest import any_model_params, make_params
 
 X_STAR = 4 / 17  # analytic baseline participation
 # perfbench's near-bound fields: contraction modulus 0.942, a cascade that
@@ -646,6 +647,17 @@ class TestEstimateEquilibrium:
     def test_success_rate_is_a_probability(self):
         estimate = estimate_equilibrium(make_params(), n=2000, replications=10, seed=73)
         assert 0.0 <= estimate.mean_success_rate <= 1.0
+
+    @given(params=any_model_params(), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_every_model_params_gives_a_finite_estimate(self, params, seed):
+        # mean_x is not bounded by gamma: at finite n the reached share is
+        # binomial around it, and one draw read 0.704 against gamma = 0.6936.
+        estimate = estimate_equilibrium(params, n=1000, replications=2, seed=seed)
+        assert all(math.isfinite(value) for value in vars(estimate).values()), estimate
+        assert 0.0 <= estimate.mean_x <= 1.0
+        assert 0.0 <= estimate.mean_success_rate <= 1.0
+        assert estimate.analytic_x == solve_fixed_point(params).x_star
 
 
 class TestAnalyticAgreement:

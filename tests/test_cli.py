@@ -23,9 +23,15 @@ from reformgame import (
     PosteriorConvention,
     ThresholdConvention,
     bundled_path,
+    equilibrium_report,
+    estimate_equilibrium,
+    grid_sweep,
     run_command,
+    write_results,
 )
+from reformgame.sweep import SWEEPABLE_PARAMETERS
 
+from conftest import any_model_params
 from test_scenario import solve_payload, write_json, write_with_raw_number
 
 
@@ -657,6 +663,37 @@ class TestExitCodeContract:
             code, err = results[payload["run"]]
             assert code not in (1, 2) or code == 1 and "error: sweep_grid: " in err, \
                 (payload["run"], err)
+
+
+class TestAcceptedScenariosRun:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(params=any_model_params(), name=st.sampled_from(SWEEPABLE_PARAMETERS),
+           seed=st.integers(0, 2**64 - 1), fmt=st.sampled_from(["csv", "json"]))
+    def test_every_model_params_runs(self, params, name, seed, fmt):
+        # A scenario file holding any valid parameter set runs solve, a sweep
+        # at the base value and a small simulate to exit 0, and --out holds
+        # the bytes write_results gives for the in-process result, on a rerun too.
+        fields = {key: getattr(value, "value", value) for key, value in vars(params).items()}
+        runs = {
+            "solve": ({}, equilibrium_report(params).equilibrium),
+            "sweep": ({"sweep": {"parameter_name": name, "values": [fields[name]]}},
+                      grid_sweep(params, name, [fields[name]])),
+            "simulate": ({"abm": {"n": 1000, "replications": 2, "seed": seed}},
+                         estimate_equilibrium(params, n=1000, replications=2, seed=seed)),
+        }
+        with tempfile.TemporaryDirectory() as workdir:
+            workdir = Path(workdir)
+            for command, (section, result) in runs.items():
+                path = write_json(workdir, {"label": "any", "run": command,
+                                            "params": fields, **section})
+                expected = workdir / "expected"
+                write_results(result, expected, fmt)
+                for attempt in ("run", "rerun"):
+                    out = workdir / f"{command}.{attempt}"
+                    code, err = run_captured(
+                        [command, "--scenario", path, "--out", out, "--format", fmt])
+                    assert (code, err) == (0, ""), command
+                    assert out.read_bytes() == expected.read_bytes(), (command, attempt)
 
 
 # Runs in a fresh interpreter: imports the CLI, probes the package for a

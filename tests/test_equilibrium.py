@@ -1,18 +1,15 @@
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reformgame import (
     ConvergenceError,
     DomainError,
     LeaderType,
-    ModelParams,
-    ParameterError,
     PosteriorConvention,
     ThresholdConvention,
     best_response_map,
@@ -28,7 +25,7 @@ from reformgame import (
 from reformgame import equilibrium
 from reformgame.sweep import SWEEPABLE_PARAMETERS
 
-from conftest import count_calls, make_params, random_valid_params
+from conftest import any_model_params, count_calls, make_params, random_valid_params
 
 # Baseline closed forms, exact rationals:
 #   kappa* = 0.2 / (2.5 - 0.8) = 2/17, x* = 4/17, psi* = 4/289.
@@ -321,6 +318,41 @@ class TestComparativeStatics:
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("name,sign", [
+        ("theta", 1), ("gamma", 1), ("Gamma_gain", 1), ("a", 1), ("kappa_max", -1)])
+    def test_signs_at_random_points(self, name, sign):
+        # A relative step of 1e-3 down from a random valid point keeps every
+        # constraint (its gains sit at most 0.95 of their bounds), and with
+        # 0 < theta < 1 it moves all three outputs strictly.
+        rng = np.random.default_rng(37)
+        for _ in range(3000):
+            params = random_valid_params(rng)
+            if not 0.0 < params.theta < 1.0:
+                continue
+            lower = replace(params, **{name: getattr(params, name) * (1.0 - 1e-3)})
+            low, high = solve_fixed_point(lower), solve_fixed_point(params)
+            for output in ("kappa_star", "x_star", "psi_star"):
+                assert sign * (getattr(high, output) - getattr(low, output)) > 0.0, (
+                    output, params)
+
+    def test_no_followers_no_threshold(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            result = solve_fixed_point(replace(random_valid_params(rng), theta=0.0))
+            assert (result.kappa_star, result.x_star) == (0.0, 0.0)
+
+    def test_all_followers_threshold_ignores_the_cost_ceiling(self):
+        # At theta = 1 the map is constant, so kappa* = a*gamma*Gamma_eff
+        # exactly, whatever kappa_max, and everyone reached participates.
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            params = replace(random_valid_params(rng), theta=1.0)
+            for factor in (1.0, 2.0, 1e3, 1e300):
+                point = replace(params, kappa_max=params.kappa_max * factor)
+                result = solve_fixed_point(point)
+                assert result.kappa_star == point.a * point.gamma * effective_gain(point)
+                assert result.x_star == point.gamma
+
     def test_literal_form_rises_with_cost_ceiling(self):
         # Documented deviation: the published plus-sign form is increasing in
         # kappa_max, against the stated comparative statics.
@@ -331,45 +363,6 @@ class TestComparativeStatics:
             for v in (1.5, 2.0, 2.5, 3.0)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-
-FLOAT_MAX = sys.float_info.max
-OPEN_UNIT = st.floats(1e-12, 1.0 - 1e-12)
-
-
-@st.composite
-def any_model_params(draw):
-    """A valid parameter set from anywhere in the float range.
-
-    ``kappa_max`` spans subnormals to the largest float, ``theta`` hits 0
-    and values just above it, and ``Gamma_gain`` is often the last float
-    below ``kappa_max/(a*gamma)``.
-    """
-    a, gamma = draw(OPEN_UNIT), draw(OPEN_UNIT)
-    kappa_max = draw(st.floats(5e-324, FLOAT_MAX))
-    theta = draw(st.sampled_from([0.0, 5e-324, 1e-17, 1e-12]) | st.floats(0.0, 1.0))
-    bound = min(kappa_max / (a * gamma), FLOAT_MAX)
-    gain = draw(st.just(math.nextafter(bound, 0.0))
-                | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
-                    lambda share: share * bound))
-    leader_type = draw(st.sampled_from(LeaderType))
-    p1, q = draw(st.floats(0.0, 1.0)), draw(st.floats(5e-324, FLOAT_MAX))
-    reformer_bound = min(q / ((1.0 - p1) * a * gamma), FLOAT_MAX) if p1 < 1.0 else q
-    shares = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-    fields = dict(
-        a=a, phi=draw(st.floats(1.0, FLOAT_MAX, exclude_min=True)), theta=theta,
-        gamma=gamma, kappa_max=kappa_max, Gamma_gain=gain, p1=p1,
-        p2=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)), s=draw(OPEN_UNIT),
-        q=q, w=draw(st.floats(0.0, FLOAT_MAX)),
-        G2=draw(shares) * reformer_bound if leader_type is LeaderType.PARTISAN else 0.0,
-        G3=draw(shares) * reformer_bound, leader_type=leader_type,
-        threshold_convention=draw(st.sampled_from(ThresholdConvention)),
-        posterior_convention=draw(st.sampled_from(PosteriorConvention)),
-    )
-    try:
-        return ModelParams(**fields)
-    except ParameterError:
-        assume(False)
 
 
 class TestEveryModelParams:

@@ -404,9 +404,9 @@ class TestValidateParams:
             def __init__(self, params):
                 self.params, self.read = params, set()
 
-            def __getattr__(self, name):
+            def __getitem__(self, name):
                 self.read.add(name)
-                return getattr(self.params, name)
+                return vars(self.params)[name]
 
         rng = np.random.default_rng(5)
         bases = [random_valid_params(rng, leader_type=leader)
@@ -448,7 +448,7 @@ class TestValidOnConstruction:
         params = replace(BASELINE, theta=0.3)
         assert {name: len(calls) for name, calls in checks.items()} == {
             "leader_gain_profile": 1, "participant_gain_bound": 1, "reformer_gain_bound": 1}
-        assert all(calls == [params] for calls in checks.values())
+        assert all(calls == [vars(params)] for calls in checks.values())
 
     def test_built_params_are_not_revalidated(self, validations):
         solve_fixed_point(BASELINE)

@@ -760,6 +760,20 @@ class TestWriteResults:
             with pytest.raises(ValueError):
                 write_results(result, tmp_path / "x.xml", "xml")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mixed_record_types_rejected(self, tmp_path, fmt):
+        # A mixed list wrote one type's CSV header over the other's row, and
+        # JSON objects of two shapes in one array.
+        pair = [equilibrium_report(BASELINE).equilibrium,
+                BancarizationSeries(2016, 747093, 904877, 82.6)]
+        for records in (pair, pair[::-1], tuple(pair)):
+            path = tmp_path / f"mixed.{fmt}"
+            with pytest.raises(TypeError, match=(
+                    f"^cannot write {type(records[1]).__name__} records with "
+                    f"{type(records[0]).__name__} records in one result$")):
+                write_results(records, path, fmt)
+            assert not path.exists()
+
     def test_unknown_record_type_rejected(self, tmp_path):
         # A report is not a record: the CLI writes its equilibrium.
         for result in (object(), equilibrium_report(BASELINE), [], [object()]):

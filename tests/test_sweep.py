@@ -213,7 +213,7 @@ class TestGridSweep:
         assert series.values == (1.0, 2.0, 2.4)
         assert [value for value, _ in series.skipped] == [-1.0, 0.0, 2.6, 3.0, math.inf]
         in_range = [1.0, 2.0, 2.4, 2.6, 3.0]
-        assert [p.Gamma_gain for p in checks["participant_gain_bound"]] == in_range
+        assert [p["Gamma_gain"] for p in checks["participant_gain_bound"]] == in_range
         assert checks["leader_gain_profile"] == checks["reformer_gain_bound"] == []
 
         # G3 = 0 breaks the leader gain profile, 3.6 the reformer bound 3.57.
@@ -222,8 +222,8 @@ class TestGridSweep:
         assert [reason.split(":")[0] for _, reason in series.skipped] == [
             "field_range", "leader_gain_profile", "reformer_gain_bound"]
         # Rows run in table order and stop at the first that fails.
-        assert [p.G3 for p in checks["leader_gain_profile"]] == [0.0, 1.0, 3.6]
-        assert [p.G3 for p in checks["reformer_gain_bound"]] == [1.0, 3.6]
+        assert [p["G3"] for p in checks["leader_gain_profile"]] == [0.0, 1.0, 3.6]
+        assert [p["G3"] for p in checks["reformer_gain_bound"]] == [1.0, 3.6]
 
         assert errors == []
         assert (vars(base), hash(base)) == (base_fields, base_hash)
@@ -324,7 +324,7 @@ def _sweep_values(lo: float, hi: float, center: float):
 
 class TestPointBuilder:
     def test_instances_keep_a_dict(self):
-        # grid_sweep overwrites the varied field in the dict of a copy of the base.
+        # validate_params and grid_sweep read a parameter set as vars(params).
         assert "__slots__" not in vars(ModelParams)
         assert list(vars(BASELINE)) == [f.name for f in fields(ModelParams)]
 
