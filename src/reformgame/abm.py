@@ -161,18 +161,25 @@ def spawn_population(
 
     With ``out``, a population of the same n, the draws go into ``out``'s
     arrays instead of new ones: they are overwritten, and ``out`` itself is
-    returned. The draws are the same either way. An ``out``
-    of another size raises ``DomainError``, as does a size that is not an
-    integer or that numpy cannot describe or allocate, naming n, and a seed
-    that is not a non-negative integer, naming the seed.
+    returned. The draws are the same either way. An ``out`` of another
+    size, or whose arrays differ in size, raises ``DomainError`` before any
+    draw, as does a size that is not an integer or that numpy cannot
+    describe or allocate, naming n, and a seed that is not a non-negative
+    integer, naming the seed.
     """
     import numpy as np
 
     n = _population_size(_integer(n, "population size n"))
     seed = _generator_seed(seed)
-    if out is not None and out.cost.size != n:
-        raise DomainError(
-            f"out must hold a population of n = {n} agents, got n = {out.cost.size}")
+    if out is not None:
+        if out.cost.size != n:
+            raise DomainError(
+                f"out must hold a population of n = {n} agents, got n = {out.cost.size}")
+        for name in ("is_follower", "reached"):
+            size = getattr(out, name).size
+            if size != n:
+                raise DomainError(
+                    f"out's {name} and cost must have one entry per agent, got {size} and {n}")
     try:
         if out is None:
             out = Population(is_follower=np.empty(n, dtype=bool), cost=np.empty(n),

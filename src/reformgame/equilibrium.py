@@ -14,6 +14,7 @@ below 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -185,9 +186,10 @@ def _fixed_point(f: Mapping[str, Any], gain: float) -> tuple[float, float, float
     slope = scale * (1.0 - theta) / kappa_max
 
     kappa = seed / (((kappa_max - scale) + scale * theta) / kappa_max)
-    previous = float("inf")
+    previous = math.inf
     for iterations in range(1, MAX_ITER + 1):
-        nxt = seed + slope * min(kappa, kappa_max)
+        # min(kappa, kappa_max) without the builtin's call
+        nxt = seed + slope * (kappa_max if kappa_max < kappa else kappa)
         residual = abs(nxt - kappa)
         kappa = nxt
         # A step of zero is the machine fixed point; a step no smaller than
@@ -219,7 +221,7 @@ def solve_fixed_point(params: ModelParams) -> EquilibriumResult:
     fixed point of the map, reached in a few polish steps for every valid
     parameter set; :data:`MAX_ITER` caps those steps, and a run that reaches
     it raises :class:`ConvergenceError`. At the threshold found, ``x_star``
-    is ``gamma*(theta + (1-theta)*kappa_star/kappa_max)`` and ``psi_star``
+    is ``gamma*(theta + (1-theta)*(kappa_star/kappa_max))`` and ``psi_star``
     is :func:`~reformgame.model.success_probability` of it.
 
     It computes ``Gamma_eff`` once and passes it, with the field mapping

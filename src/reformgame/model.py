@@ -77,14 +77,21 @@ PARAM_RANGES: dict[str, tuple[float, float, str]] = {
 }
 
 
+def _range_head(name: str, finite: bool) -> str:
+    """The message of the ``field_range`` error for a value outside the
+    PARAM_RANGES row of ``name``, up to the value: ``<name> <rule>, got ``.
+    A finite value breaks the row's rule, any other "must be a finite
+    number"."""
+    rule = PARAM_RANGES[name][2] if finite else "must be a finite number"
+    return f"{name} {rule}, got "
+
+
 def _range_message(name: str, value: float) -> str:
     """The message of the ``field_range`` error for a value outside its
-    PARAM_RANGES row; a sweep reports a skipped point with it without
-    raising."""
-    rule = PARAM_RANGES[name][2]
-    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        rule = "must be a finite number"
-    return f"{name} {rule}, got {value}"
+    PARAM_RANGES row: :func:`_range_head` and the value. A sweep builds
+    each head once and appends the ``repr`` of each skipped float, which
+    reads the same."""
+    return f"{_range_head(name, -_FLOAT_MAX <= value <= _FLOAT_MAX)}{value}"
 
 
 def _leader_gain_profile(f: Mapping[str, Any]) -> str | None:
@@ -111,7 +118,8 @@ def _participant_gain_bound(f: Mapping[str, Any]) -> str | None:
 def _reformer_gain_bound(f: Mapping[str, Any]) -> str | None:
     if f["p1"] < 1.0:
         reformer_bound = f["q"] / ((1.0 - f["p1"]) * f["a"] * f["gamma"])
-        for name, gain in (("G2", f["G2"]), ("G3", f["G3"])):
+        for name in ("G2", "G3"):
+            gain = f[name]
             if gain > 0.0 and not gain < reformer_bound:
                 return f"{name} must be < q/((1-p1)*a*gamma) = {reformer_bound}, got {gain}"
     return None

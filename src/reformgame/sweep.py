@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -21,7 +22,7 @@ from .model import (
     DomainError,
     ModelParams,
     ParameterError,
-    _range_message,
+    _range_head,
     success_probability,
 )
 
@@ -148,7 +149,11 @@ def grid_sweep(
     only what that field changes, and its numbers are those of
     ``solve_fixed_point`` bit for bit:
 
-    - it checks the field's :data:`PARAM_RANGES` row without raising;
+    - it compares no value with the field's :data:`PARAM_RANGES` row: the
+      grid is strictly increasing, so the values outside the row are a
+      prefix and a suffix of it, which bisection finds. Each is skipped
+      with the constructor's text, one head built once per sweep and the
+      value's ``repr``; an infinite end keeps its own rule;
     - it runs, in table order, the :data:`RELATIONAL_CHECKS` rows that read
       the field, on the point's mapping; a row returns its rule's text, so a
       point is skipped with the constructor's text and raises nothing, and
@@ -173,6 +178,14 @@ def grid_sweep(
     grid = _grid(values, "sweep grid")
 
     lo, hi, _ = PARAM_RANGES[parameter_name]
+    # _grid proved the grid strictly increasing and free of NaN, so it is five
+    # runs, each possibly empty: -inf, finite values below the range, the
+    # in-range points, finite values above it, +inf.
+    first, last = bisect_right(grid, -math.inf), bisect_left(grid, math.inf)
+    start, stop = bisect_left(grid, lo, first, last), bisect_right(grid, hi, first, last)
+    # A skipped value's text is that of the error the constructor would raise.
+    finite = f"field_range: {_range_head(parameter_name, True)}"
+    infinite = f"field_range: {_range_head(parameter_name, False)}"
     feeds_gain = parameter_name in _GAIN_FIELDS[base.leader_type]
     checks = [(constraint, check) for constraint, (check, reads) in RELATIONAL_CHECKS.items()
               if parameter_name in reads]
@@ -186,12 +199,9 @@ def grid_sweep(
     kappas: list[float] = []
     xs: list[float] = []
     psis: list[float] = []
-    skipped: list[tuple[float, str]] = []
-    for value in grid:
-        if not lo <= value <= hi:
-            # The text of the error the ModelParams constructor would raise.
-            skipped.append((value, f"field_range: {_range_message(parameter_name, value)}"))
-            continue
+    skipped = [(value, f"{infinite}{value!r}") for value in grid[:first]]
+    skipped += [(value, f"{finite}{value!r}") for value in grid[first:start]]
+    for value in grid[start:stop]:
         point[parameter_name] = value
         for constraint, check in checks:
             reason = check(point)
@@ -206,6 +216,8 @@ def grid_sweep(
             kappas.append(kappa_star)
             xs.append(x_star)
             psis.append(psi_star)
+    skipped += [(value, f"{finite}{value!r}") for value in grid[stop:last]]
+    skipped += [(value, f"{infinite}{value!r}") for value in grid[last:]]
     if not kept:
         raise ParameterError(
             "sweep_grid",

@@ -193,6 +193,18 @@ class TestPopulationReuse:
                            match=r"^out must hold a population of n = 3001 agents, got n = 3000$"):
             spawn_population(3001, make_params(), seed=2, out=other)
 
+    @pytest.mark.parametrize("name", ["is_follower", "reached"])
+    def test_short_bool_array_in_out_is_rejected(self, name):
+        arrays = {"is_follower": np.ones(10, dtype=bool), "cost": np.full(10, 7.0),
+                  "reached": np.ones(10, dtype=bool)}
+        arrays[name] = np.ones(9, dtype=bool)
+        out = Population(**arrays)
+        with pytest.raises(DomainError) as err:
+            spawn_population(10, make_params(), seed=2, out=out)
+        assert str(err.value) == f"out's {name} and cost must have one entry per agent, got 9 and 10"
+        # Rejected before any draw: nothing was overwritten.
+        assert (out.cost == 7.0).all() and out.is_follower.all() and out.reached.all()
+
     def test_estimate_matches_fresh_populations(self):
         # Reference: a fresh population per replication, seeded as the
         # package seeds it.

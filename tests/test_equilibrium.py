@@ -228,6 +228,99 @@ class TestSolveFixedPoint:
         assert result.kappa_star == pytest.approx(closed_form_threshold(params), rel=1e-12)
 
 
+def reference_solve(params, max_iter):
+    """solve_fixed_point's method as its docstring states it, apart from the
+    package's kernel: the cancellation-free start, the map with its
+    ``min()`` clip, and the stop rule. Returns the five outputs by
+    ``float.hex``, or the ConvergenceError message."""
+    kappa_max, theta = params.kappa_max, params.theta
+    s = params.a * params.gamma * effective_gain(params)
+    seed = s * theta
+    slope = s * (1.0 - theta) / kappa_max
+    kappa = seed / (((kappa_max - s) + s * theta) / kappa_max)
+    steps = []
+    while True:
+        nxt = seed + slope * min(kappa, kappa_max)
+        steps.append(abs(nxt - kappa))
+        kappa = nxt
+        if steps[-1] == 0.0 or (len(steps) > 1 and steps[-1] >= steps[-2]):
+            break
+        if len(steps) == max_iter:
+            return (f"no fixed point within {max_iter} iterations (residual {steps[-1]:.3e}, "
+                    f"contraction modulus L = {slope:.6g})")
+    x_star = params.gamma * (theta + (1.0 - theta) * (kappa / kappa_max))
+    psi_star = success_probability(params.a, params.phi, x_star)
+    return (kappa.hex(), x_star.hex(), psi_star.hex(), len(steps), steps[-1].hex())
+
+
+def solver_outputs(params):
+    """solve_fixed_point's five kernel outputs by ``float.hex``, or its
+    ConvergenceError message."""
+    try:
+        r = solve_fixed_point(params)
+    except ConvergenceError as exc:
+        return str(exc)
+    return (r.kappa_star.hex(), r.x_star.hex(), r.psi_star.hex(), r.iterations,
+            r.residual.hex())
+
+
+def largest_valid_gain(params):
+    """The largest Gamma_gain that keeps a*gamma*Gamma_gain < kappa_max."""
+    product = params.a * params.gamma
+    gain = params.kappa_max / product
+    while product * math.nextafter(gain, math.inf) < params.kappa_max:
+        gain = math.nextafter(gain, math.inf)
+    while not product * gain < params.kappa_max:
+        gain = math.nextafter(gain, 0.0)
+    return gain
+
+
+def kernel_edges():
+    """Parameter sets at the edges of the kernel's arithmetic."""
+    rng = np.random.default_rng(41)
+    edges = [make_params(theta=0.0), make_params(theta=1.0),
+             make_params(leader_type=LeaderType.PARTISAN, G2=1.0, p2=0.0),
+             make_params(leader_type=LeaderType.PARTISAN, G2=1.0, p2=1.0,
+                         posterior_convention=PosteriorConvention.BAYES)]
+    for theta in (0.0, 1e-17, 0.2, 1.0):
+        params = make_params(theta=theta)
+        edges.append(replace(params, Gamma_gain=largest_valid_gain(params)))
+    for params in [make_params()] + [random_valid_params(rng) for _ in range(20)]:
+        for exponent in (-60, 60):
+            scale = 2.0 ** exponent
+            scaled = replace(params, kappa_max=params.kappa_max * scale,
+                             Gamma_gain=params.Gamma_gain * scale)
+            edges += [scaled, replace(scaled, Gamma_gain=largest_valid_gain(scaled))]
+    return edges
+
+
+class TestKernelReference:
+    """The solver's kernel against a reference written apart from it, bit for
+    bit: grid_sweep's equivalence tests compare it with solve_fixed_point,
+    which runs the same kernel."""
+
+    def test_random_params(self):
+        rng = np.random.default_rng(43)
+        for _ in range(3000):
+            params = random_valid_params(rng)
+            assert solver_outputs(params) == reference_solve(params, equilibrium.MAX_ITER)
+
+    @pytest.mark.parametrize("params", kernel_edges())
+    def test_edges(self, params):
+        assert solver_outputs(params) == reference_solve(params, equilibrium.MAX_ITER)
+
+    def test_same_convergence_error(self, monkeypatch):
+        # With one step allowed, about a third of these sets reach the cap.
+        monkeypatch.setattr(equilibrium, "MAX_ITER", 1)
+        rng = np.random.default_rng(47)
+        outcomes = set()
+        for params in [make_params()] + [random_valid_params(rng) for _ in range(300)]:
+            expected = reference_solve(params, 1)
+            assert solver_outputs(params) == expected
+            outcomes.add(type(expected))
+        assert outcomes == {str, tuple}
+
+
 class TestEquilibriumReport:
     def test_derived_gap_is_tiny(self):
         report = equilibrium_report(make_params())

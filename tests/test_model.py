@@ -373,6 +373,13 @@ class TestValidateParams:
             f"field_range: {name} must be {kind}, got {overrides[name]!r}"
         )
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, 10**400],
+                             ids=["inf", "-inf", "10**400"])
+    def test_non_finite_value_message(self, value):
+        with pytest.raises(ParameterError) as err:
+            make_params(w=value)
+        assert str(err.value) == f"field_range: w must be a finite number, got {value}"
+
     def test_other_real_types_accepted(self):
         params = make_params(q=np.int64(1), w=Fraction(1, 2))
         assert validate_params(params) is params

@@ -391,6 +391,42 @@ class TestGridSweepEquivalence:
         assert series.monotonicity is monotonicity_check([point[0] for point in columns])
 
 
+class TestBisectedRangeEnds:
+    # grid_sweep finds the values outside the range by bisection and builds
+    # their texts from one head per side; the loop builds each point.
+    @pytest.mark.parametrize("base", [TIGHT, TIGHT_PARTISAN], ids=["non-partisan", "partisan"])
+    def test_every_kind_of_skip_in_one_grid(self, base):
+        lo, hi, _ = PARAM_RANGES["a"]  # both ends are points
+        grid = [-math.inf, -1.0, 0.0, 5e-13, lo, 0.3, 0.5, 0.58, 0.9, hi, 1.0 - 5e-13, 1.0,
+                2.0, math.inf]
+        values, _, skipped = _loop_sweep(base, "a", grid)
+        series = grid_sweep(base, "a", grid)
+        assert series.values == tuple(values) == (lo, 0.3, 0.5)
+        assert series.skipped == tuple(skipped)
+        texts = [text for _, text in series.skipped]
+        assert [text.split(":")[0] for text in texts] == (
+            ["field_range"] * 4 + ["participant_gain_bound"] * 3 + ["field_range"] * 4)
+        assert texts[0] == "field_range: a must be a finite number, got -inf"
+        assert texts[1] == "field_range: a must lie in [1e-12, 1 - 1e-12], got -1.0"
+        assert texts[-2] == "field_range: a must lie in [1e-12, 1 - 1e-12], got 2.0"
+        assert texts[-1] == "field_range: a must be a finite number, got inf"
+
+    @pytest.mark.parametrize("name,grid,first", [
+        ("a", [-math.inf, -1.0, 0.0], "field_range: a must be a finite number, got -inf"),
+        ("a", [-1.0, 0.0], "field_range: a must lie in [1e-12, 1 - 1e-12], got -1.0"),
+        ("a", [1.0, 2.0, math.inf], "field_range: a must lie in [1e-12, 1 - 1e-12], got 1.0"),
+        ("w", [math.inf], "field_range: w must be a finite number, got inf"),
+        ("G3", [-3.0, -5e-324], "field_range: G3 must be >= 0, got -3.0"),
+    ])
+    def test_grid_wholly_outside_the_range(self, name, grid, first):
+        _, _, skipped = _loop_sweep(make_params(), name, grid)
+        assert skipped[0][1] == first
+        with pytest.raises(ParameterError) as err:
+            grid_sweep(make_params(), name, grid)
+        assert str(err.value) == (
+            f"sweep_grid: no valid grid point for {name}; first rejection: {first}")
+
+
 class TestSuccessResponseSeries:
     def test_certainty_panel_values(self):
         response = success_response_series([0.2, 0.4, 0.6, 0.8], [2.0], [0.5])
