@@ -144,6 +144,32 @@ class AbmEstimate:
     abs_gap: float
 
 
+def _check_out(out: Population, n: int) -> None:
+    """DomainError naming the first array of ``out`` that the draws of n
+    agents cannot fill in place: each must be a numpy array of its dtype
+    (float64 ``cost``, bool ``is_follower`` and ``reached``) and shape
+    ``(n,)``, C-contiguous and writeable."""
+    import numpy as np
+
+    for name, dtype in (("cost", np.float64), ("is_follower", np.bool_), ("reached", np.bool_)):
+        array = getattr(out, name)
+        if not isinstance(array, np.ndarray):
+            raise DomainError(f"out's {name} must be a numpy array, got {type(array).__name__}")
+        if array.dtype != dtype:
+            raise DomainError(
+                f"out's {name} must have dtype {np.dtype(dtype)}, got {array.dtype}")
+        if array.size != n:
+            if name == "cost":
+                raise DomainError(
+                    f"out must hold a population of n = {n} agents, got n = {array.size}")
+            raise DomainError(
+                f"out's {name} and cost must have one entry per agent, got {array.size} and {n}")
+        if array.shape != (n,):
+            raise DomainError(f"out's {name} must have shape ({n},), got {array.shape}")
+        if not (array.flags.c_contiguous and array.flags.writeable):
+            raise DomainError(f"out's {name} must be C-contiguous and writeable")
+
+
 def spawn_population(
     n: int, params: ModelParams, seed: int, out: Population | None = None
 ) -> Population:
@@ -162,24 +188,19 @@ def spawn_population(
     With ``out``, a population of the same n, the draws go into ``out``'s
     arrays instead of new ones: they are overwritten, and ``out`` itself is
     returned. The draws are the same either way. An ``out`` of another
-    size, or whose arrays differ in size, raises ``DomainError`` before any
-    draw, as does a size that is not an integer or that numpy cannot
-    describe or allocate, naming n, and a seed that is not a non-negative
-    integer, naming the seed.
+    size, or whose arrays differ in size, or an array that is not a
+    C-contiguous, writeable numpy array of shape ``(n,)`` and its dtype
+    (float64 ``cost``, bool ``is_follower`` and ``reached``), raises
+    ``DomainError`` naming it before any draw, as does a size that is not an
+    integer or that numpy cannot describe or allocate, naming n, and a seed
+    that is not a non-negative integer, naming the seed.
     """
     import numpy as np
 
     n = _population_size(_integer(n, "population size n"))
     seed = _generator_seed(seed)
     if out is not None:
-        if out.cost.size != n:
-            raise DomainError(
-                f"out must hold a population of n = {n} agents, got n = {out.cost.size}")
-        for name in ("is_follower", "reached"):
-            size = getattr(out, name).size
-            if size != n:
-                raise DomainError(
-                    f"out's {name} and cost must have one entry per agent, got {size} and {n}")
+        _check_out(out, n)
     try:
         if out is None:
             out = Population(is_follower=np.empty(n, dtype=bool), cost=np.empty(n),

@@ -131,6 +131,19 @@ def _reformer_gain_bound(f: Mapping[str, Any]) -> str | None:
 # returns the violated rule's text, or None when the fields pass; its key is
 # the only name of its constraint. A parameter set that differs from a valid
 # one in a single field can fail only that field's range or a row reading it.
+#
+# The rule a row must keep: along any strictly increasing run of in-range
+# values of one field it reads, all else fixed, its failures form a prefix or
+# a suffix of the run, so its verdict changes at most once. grid_sweep finds
+# the kept points by bisection and runs no row on them otherwise. The rows
+# keep it because IEEE rounding is monotone:
+# - participant_gain_bound fails when kappa_max <= (a*gamma)*Gamma_gain, a
+#   product that never falls as a, gamma or Gamma_gain rises;
+# - reformer_gain_bound: q/(((1-p1)*a)*gamma) never falls as q or p1 rises
+#   and never rises as a or gamma rises, p1 == 1 (the last in-range p1)
+#   passes, and "G > 0 and not G < bound" fails on a suffix of G2 or G3;
+# - leader_gain_profile: G2 == 0 holds only at the first in-range G2, and
+#   G2 > 0 and G3 > 0 each hold on a suffix.
 RELATIONAL_CHECKS: dict[str, tuple[Callable[[Mapping[str, Any]], str | None],
                                    tuple[str, ...]]] = {
     "leader_gain_profile": (_leader_gain_profile, ("leader_type", "G2", "G3")),

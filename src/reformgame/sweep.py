@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -100,15 +101,18 @@ def monotonicity_check(series: Sequence[float]) -> Monotonicity:
     """
     if len(series) == 0:
         raise DomainError("cannot classify an empty series")
-    for index, value in enumerate(series):
-        if value != value:
-            raise DomainError(f"cannot classify a series with NaN at index {index}")
-    signs = {(cur > prev) - (cur < prev) for prev, cur in zip(series, series[1:])}
-    if signs <= {0}:
+    if not all(map(operator.eq, series, series)):  # only NaN differs from itself
+        for index, value in enumerate(series):
+            if value != value:
+                raise DomainError(f"cannot classify a series with NaN at index {index}")
+    tail = series[1:]
+    # Free of NaN, a pair is equal, rising or falling; all() stops at the
+    # first pair that breaks its rule, and a singleton is constant.
+    if all(map(operator.eq, series, tail)):
         return Monotonicity.CONSTANT
-    if signs == {1}:
+    if all(map(operator.lt, series, tail)):
         return Monotonicity.INCREASING
-    if signs == {-1}:
+    if all(map(operator.gt, series, tail)):
         return Monotonicity.DECREASING
     return Monotonicity.NON_MONOTONE
 
@@ -117,7 +121,7 @@ def _floats(values: Iterable[float], name: str) -> list[float]:
     """values as floats; DomainError naming them if one has no float (a
     complex or non-numeric value) or is too large for one."""
     try:
-        return [float(v) for v in values]
+        return list(map(float, values))
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name}: not a real number within float range ({exc})") from None
 
@@ -129,7 +133,7 @@ def _grid(values: Iterable[float], name: str) -> list[float]:
     grid = _floats(values, f"{name} value")
     if not grid:
         raise DomainError(f"{name} is empty")
-    if any(not b > a for a, b in zip(grid, grid[1:])):  # NaN fails too
+    if not all(map(operator.lt, grid, grid[1:])):  # NaN fails too
         raise DomainError(f"{name} values must be strictly increasing")
     return grid
 
@@ -154,21 +158,26 @@ def grid_sweep(
       prefix and a suffix of it, which bisection finds. Each is skipped
       with the constructor's text, one head built once per sweep and the
       value's ``repr``; an infinite end keeps its own rule;
-    - it runs, in table order, the :data:`RELATIONAL_CHECKS` rows that read
-      the field, on the point's mapping; a row returns its rule's text, so a
-      point is skipped with the constructor's text and raises nothing, and
-      every other check reads only the base's values, which passed;
+    - it runs only the :data:`RELATIONAL_CHECKS` rows that read the field,
+      on the point's mapping; every other check reads only the base's
+      values, which passed. A row's verdict changes at most once along the
+      in-range values (the rule above the table), so the kept points are one
+      run of the grid: each row tests the run's first value, and bisection
+      finds where its verdict flips. A kept value runs a row only as one of
+      those probes. A rejected in-range value runs the rows in table order;
+      a row returns its rule's text, so the point is skipped with the
+      constructor's text and raises nothing;
     - ``effective_gain`` is computed once per sweep unless the field feeds
       it (``Gamma_gain``, and ``s`` and ``p2`` for a partisan);
     - the solver's kernel runs on the point's mapping once per kept point,
       or once per sweep when it reads none of the field's effects (``p1``,
       ``q``, ``w``, ``G2``, ``G3``, and ``s`` and ``p2`` for a
-      non-partisan).
+      non-partisan), whose columns repeat that one equilibrium.
 
     No ``ModelParams``, ``EquilibriumResult`` or closed-form gap is built.
-    A kept point appends its three floats to the series' columns and builds
-    no record; the garbage collector does not track floats, so a long sweep
-    starts no collection.
+    A solved kept point appends its three floats to the series' columns and
+    builds no record; the garbage collector does not track floats, so a
+    long sweep starts no collection.
     """
     if parameter_name not in SWEEPABLE_PARAMETERS:
         raise DomainError(
@@ -189,40 +198,62 @@ def grid_sweep(
     feeds_gain = parameter_name in _GAIN_FIELDS[base.leader_type]
     checks = [(constraint, check) for constraint, (check, reads) in RELATIONAL_CHECKS.items()
               if parameter_name in reads]
-    point = dict(vars(base))  # this sweep's own mapping; each in-range point sets its value
+    point = dict(vars(base))  # this sweep's own mapping; each probed point sets its value
     gain = effective_gain(base)
     solved = None  # the kernel runs once per sweep if it reads nothing the field changes
     if not (feeds_gain or parameter_name in _KERNEL_FIELDS):
         solved = _fixed_point(point, gain)[:3]
 
-    kept: list[float] = []
-    kappas: list[float] = []
-    xs: list[float] = []
-    psis: list[float] = []
+    # Each row's verdict changes at most once along the in-range run (the
+    # rule above RELATIONAL_CHECKS), so the kept points are one run. Each row
+    # that reads the field narrows it: from its verdict at the run's first
+    # point, bisection finds where the verdict flips.
+    def flipped(index: int) -> bool:
+        point[parameter_name] = grid[index]
+        return (check(point) is None) is not passes_first
+
+    kstart, kstop = start, stop
+    for _, check in checks:
+        if kstart == kstop:
+            break
+        point[parameter_name] = grid[kstart]
+        passes_first = check(point) is None
+        flip = bisect_left(range(stop), True, kstart + 1, kstop, key=flipped)
+        if passes_first:
+            kstop = flip
+        else:
+            kstart = flip
+
     skipped = [(value, f"{infinite}{value!r}") for value in grid[:first]]
     skipped += [(value, f"{finite}{value!r}") for value in grid[first:start]]
-    for value in grid[start:stop]:
+    # A rejected in-range point runs the rows in table order for its text.
+    for value in grid[start:kstart] + grid[kstop:stop]:
         point[parameter_name] = value
         for constraint, check in checks:
             reason = check(point)
             if reason is not None:
                 skipped.append((value, f"{constraint}: {reason}"))
                 break
-        else:  # no row failed
-            if feeds_gain:
-                gain = _gain(point)
-            kappa_star, x_star, psi_star = solved or _fixed_point(point, gain)[:3]
-            kept.append(value)
-            kappas.append(kappa_star)
-            xs.append(x_star)
-            psis.append(psi_star)
     skipped += [(value, f"{finite}{value!r}") for value in grid[stop:last]]
     skipped += [(value, f"{infinite}{value!r}") for value in grid[last:]]
-    if not kept:
+    if kstart == kstop:
         raise ParameterError(
             "sweep_grid",
             f"no valid grid point for {parameter_name}; first rejection: {skipped[0][1]}",
         )
+    kept = grid[kstart:kstop]
+    if solved is not None:
+        kappas, xs, psis = ((column,) * len(kept) for column in solved)
+    else:
+        kappas, xs, psis = [], [], []
+        for value in kept:
+            point[parameter_name] = value
+            if feeds_gain:
+                gain = _gain(point)
+            kappa_star, x_star, psi_star = _fixed_point(point, gain)[:3]
+            kappas.append(kappa_star)
+            xs.append(x_star)
+            psis.append(psi_star)
     return SweepSeries(
         parameter_name=parameter_name,
         values=tuple(kept),

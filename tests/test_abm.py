@@ -177,6 +177,11 @@ class TestSpawnPopulation:
         assert np.array_equal(low.reached, high.reached)
 
 
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
 class TestPopulationReuse:
     def test_out_gives_the_same_draws(self):
         params = make_params()
@@ -204,6 +209,34 @@ class TestPopulationReuse:
         assert str(err.value) == f"out's {name} and cost must have one entry per agent, got 9 and 10"
         # Rejected before any draw: nothing was overwritten.
         assert (out.cost == 7.0).all() and out.is_follower.all() and out.reached.all()
+
+    @pytest.mark.parametrize("name,make,message", [
+        ("cost", lambda: np.full(10, 7.0, dtype=np.float32),
+         "out's cost must have dtype float64, got float32"),
+        ("reached", lambda: np.ones(10, dtype=np.int8),
+         "out's reached must have dtype bool, got int8"),
+        ("is_follower", lambda: np.ones(10, dtype=np.int8),
+         "out's is_follower must have dtype bool, got int8"),
+        ("is_follower", lambda: np.ones((2, 5), dtype=bool),
+         "out's is_follower must have shape (10,), got (2, 5)"),
+        ("cost", lambda: np.full(20, 7.0)[::2], "out's cost must be C-contiguous and writeable"),
+        ("cost", lambda: _read_only(np.full(10, 7.0)), "out's cost must be C-contiguous and writeable"),
+        ("cost", lambda: [7.0] * 10, "out's cost must be a numpy array, got list"),
+    ], ids=["float32-cost", "int8-reached", "int8-is_follower", "2d-is_follower",
+            "strided-cost", "read-only-cost", "list-cost"])
+    def test_malformed_array_in_out_is_rejected(self, name, make, message):
+        # numpy would raise its own TypeError, ValueError or AttributeError
+        # for these, or fill an int8 array with 0/1 in place of bools.
+        arrays = {"is_follower": np.ones(10, dtype=bool), "cost": np.full(10, 7.0),
+                  "reached": np.ones(10, dtype=bool)}
+        arrays[name] = make()
+        out = Population(**arrays)
+        with pytest.raises(DomainError) as err:
+            spawn_population(10, make_params(), seed=2, out=out)
+        assert str(err.value) == message
+        # Rejected before any draw: nothing was overwritten.
+        assert (np.asarray(out.cost) == 7.0).all()
+        assert np.asarray(out.is_follower).all() and np.asarray(out.reached).all()
 
     def test_estimate_matches_fresh_populations(self):
         # Reference: a fresh population per replication, seeded as the

@@ -1,5 +1,6 @@
 import gc
 import math
+import operator
 import re
 from dataclasses import fields, replace
 
@@ -57,6 +58,15 @@ class TestMonotonicityCheck:
             # Pairs compare exactly: one float spacing is a step.
             ([1.0, 1.0 + 2**-52], Monotonicity.INCREASING),
             ([1.0, 1.0 + 1e-14, 1.0 - 1e-14], Monotonicity.NON_MONOTONE),
+            ((1.0, 2.0, 3.0), Monotonicity.INCREASING),
+            (np.array([3.0, 2.0, 1.0]), Monotonicity.DECREASING),
+            (np.array([3.0, 2.0, 3.0]), Monotonicity.NON_MONOTONE),
+            (np.array([5.0, 5.0]), Monotonicity.CONSTANT),
+            ([2.0, 2.0], Monotonicity.CONSTANT),
+            ([1.0, 2.0, 2.0], Monotonicity.NON_MONOTONE),
+            ([3.0, 2.0, 2.0], Monotonicity.NON_MONOTONE),
+            # Signed zeros compare equal.
+            ([-0.0, 0.0], Monotonicity.CONSTANT),
         ],
     )
     def test_verdicts(self, series, verdict):
@@ -70,6 +80,9 @@ class TestMonotonicityCheck:
         ([1.0, math.nan, 2.0], 1),
         ([math.nan], 0),
         ([3.0, 2.0, math.nan], 2),
+        ([math.nan, 3.0, 2.0, 1.0], 0),
+        ((1.0, math.nan), 1),
+        (np.array([1.0, 2.0, math.nan]), 2),
     ])
     def test_nan_rejected_with_its_index(self, series, index):
         with pytest.raises(DomainError, match=f"NaN at index {index}$"):
@@ -161,6 +174,12 @@ class TestGridSweep:
         with pytest.raises(DomainError):
             grid_sweep(make_params(), "theta", [])
 
+    @pytest.mark.parametrize("grid", [[-0.0, 0.0], [0.1, 0.2, math.nan], [0.1, 0.2, 0.2, 0.3]],
+                             ids=["signed-zeros", "trailing-nan", "repeated-value"])
+    def test_grid_rejects_each_non_increasing_pair(self, grid):
+        with pytest.raises(DomainError, match=r"^sweep grid values must be strictly increasing$"):
+            grid_sweep(make_params(), "theta", grid)
+
     def test_points_compute_no_costs(self, monkeypatch):
         # A point needs only the equilibrium, not the cost report.
         efforts = count_calls(monkeypatch, "optimal_info_effort")
@@ -187,9 +206,10 @@ class TestGridSweep:
     def test_one_validation_and_no_result_record_per_point(self, monkeypatch):
         # A point runs its field's range check and only the relational
         # checks that read the field: none for theta, and only the
-        # participant gain bound, once per in-range value, for Gamma_gain.
-        # A skipped point builds no exception, and the scratch point the
-        # sweep overwrites leaves the base as it was.
+        # participant gain bound for Gamma_gain. A row runs on a kept value
+        # only as a bisection probe; a rejected in-range value runs the rows
+        # again for its text. A skipped point builds no exception, and the
+        # scratch point the sweep overwrites leaves the base as it was.
         base = make_params()
         base_fields, base_hash = dict(vars(base)), hash(base)
         validations = count_calls(monkeypatch, "validate_params")
@@ -212,8 +232,10 @@ class TestGridSweep:
         series = grid_sweep(base, "Gamma_gain", grid)
         assert series.values == (1.0, 2.0, 2.4)
         assert [value for value, _ in series.skipped] == [-1.0, 0.0, 2.6, 3.0, math.inf]
-        in_range = [1.0, 2.0, 2.4, 2.6, 3.0]
-        assert [p["Gamma_gain"] for p in checks["participant_gain_bound"]] == in_range
+        # Probes: the run's first value passes, so bisection over the rest
+        # finds the first failure, 2.6. Then the rejected 2.6 and 3.0.
+        probes, rejected = [1.0, 2.6, 2.4], [2.6, 3.0]
+        assert [p["Gamma_gain"] for p in checks["participant_gain_bound"]] == probes + rejected
         assert checks["leader_gain_profile"] == checks["reformer_gain_bound"] == []
 
         # G3 = 0 breaks the leader gain profile, 3.6 the reformer bound 3.57.
@@ -221,9 +243,12 @@ class TestGridSweep:
         assert series.values == (1.0,)
         assert [reason.split(":")[0] for _, reason in series.skipped] == [
             "field_range", "leader_gain_profile", "reformer_gain_bound"]
-        # Rows run in table order and stop at the first that fails.
-        assert [p["G3"] for p in checks["leader_gain_profile"]] == [0.0, 1.0, 3.6]
-        assert [p["G3"] for p in checks["reformer_gain_bound"]] == [1.0, 3.6]
+        # Probes: the leader row fails at 0.0, so bisection finds its first
+        # pass, 1.0; the reformer row passes at 1.0 and bisection finds its
+        # first failure, 3.6. The rejected 0.0 and 3.6 then run the rows in
+        # table order and stop at the first that fails.
+        assert [p["G3"] for p in checks["leader_gain_profile"]] == [0.0, 3.6, 1.0] + [0.0, 3.6]
+        assert [p["G3"] for p in checks["reformer_gain_bound"]] == [1.0, 3.6] + [3.6]
 
         assert errors == []
         assert (vars(base), hash(base)) == (base_fields, base_hash)
@@ -425,6 +450,78 @@ class TestBisectedRangeEnds:
             grid_sweep(make_params(), name, grid)
         assert str(err.value) == (
             f"sweep_grid: no valid grid point for {name}; first rejection: {first}")
+
+
+class TestBisectedKeptRun:
+    # A row runs on a kept value only as a bisection probe: the kept run's
+    # first value, then at most ceil(log2(m)) probes in a run of m values.
+    @pytest.mark.parametrize("name,grid", [
+        ("G3", [(i - 200) * 0.005 for i in range(1001)]),  # holds 0.0, crosses 3.57
+        ("Gamma_gain", [i * 0.005 for i in range(1001)]),  # crosses 0 and 2.5
+    ])
+    def test_rows_run_logarithmically_often_on_kept_values(self, monkeypatch, name, grid):
+        lo, hi, _ = PARAM_RANGES[name]
+        m = sum(lo <= value <= hi for value in grid)
+        base = make_params()
+        checks = count_checks(monkeypatch)
+        series = grid_sweep(base, name, grid)
+        kept = set(series.values)
+        assert 0 < len(kept) < m
+        for constraint, (_, reads) in RELATIONAL_CHECKS.items():
+            on_kept = [p for p in checks[constraint] if p[name] in kept]
+            assert len(on_kept) <= 2 + math.ceil(math.log2(m)), constraint
+            assert bool(checks[constraint]) == (name in reads), constraint
+
+
+def _flip_values(f, name):
+    """The values of field ``name`` at which a row that reads it meets its
+    bound with equality, the other fields held at ``f``'s."""
+    a, gamma, gain, kappa_max = f["a"], f["gamma"], f["Gamma_gain"], f["kappa_max"]
+    p1, q = f["p1"], f["q"]
+    gains = [g for g in (f["G2"], f["G3"]) if g > 0.0]
+    bound = q / ((1.0 - p1) * a * gamma) if p1 < 1.0 else math.inf
+    return {
+        "Gamma_gain": [kappa_max / (a * gamma)],
+        "kappa_max": [a * gamma * gain],
+        "a": [kappa_max / (gamma * gain)] + [q / ((1.0 - p1) * gamma * g) for g in gains],
+        "gamma": [kappa_max / (a * gain)] + [q / ((1.0 - p1) * a * g) for g in gains],
+        "q": [(1.0 - p1) * a * gamma * g for g in gains],
+        "p1": [1.0 - q / (a * gamma * g) for g in gains],
+        "G2": [0.0, bound],
+        "G3": [0.0, bound],
+    }[name]
+
+
+_ROW_FIELDS = [(constraint, name) for constraint, (_, reads) in RELATIONAL_CHECKS.items()
+               for name in reads if name in SWEEPABLE_PARAMETERS]
+
+
+class TestRelationalRowsAreMonotone:
+    # The rule above RELATIONAL_CHECKS, which grid_sweep's bisection rests
+    # on: along a strictly increasing run of in-range values of a field a
+    # row reads, the row's verdict changes at most once. A row that breaks
+    # it fails here, whether or not a sweep happens to cross its flip.
+    @pytest.mark.parametrize("posterior", list(PosteriorConvention))
+    @pytest.mark.parametrize("leader_type", list(LeaderType))
+    @pytest.mark.parametrize("constraint,name", _ROW_FIELDS)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_verdict_changes_at_most_once(self, constraint, name, leader_type, posterior,
+                                          seed, data):
+        base = vars(random_valid_params(np.random.default_rng(seed), leader_type=leader_type,
+                                        posterior_convention=posterior))
+        check, _ = RELATIONAL_CHECKS[constraint]
+        lo, hi, _ = PARAM_RANGES[name]
+        values = {lo, hi, base[name]}
+        values |= set(data.draw(st.lists(st.floats(lo, hi), max_size=20)))
+        for flip in _flip_values(base, name):
+            values |= {flip, math.nextafter(flip, -math.inf), math.nextafter(flip, math.inf)}
+            if math.isfinite(flip):
+                scales = data.draw(st.lists(st.floats(0.5, 2.0), max_size=10))
+                values |= {flip * scale for scale in scales}
+        run = sorted(value for value in values if lo <= value <= hi)
+        passes = [check({**base, name: value}) is None for value in run]
+        assert sum(map(operator.ne, passes, passes[1:])) <= 1, list(zip(run, passes))
 
 
 class TestSuccessResponseSeries:
