@@ -148,7 +148,8 @@ def _check_out(out: Population, n: int) -> None:
     """DomainError naming the first array of ``out`` that the draws of n
     agents cannot fill in place: each must be a numpy array of its dtype
     (float64 ``cost``, bool ``is_follower`` and ``reached``) and shape
-    ``(n,)``, C-contiguous and writeable."""
+    ``(n,)``, C-contiguous and writeable, and no two may share memory, or
+    one draw would overwrite another."""
     import numpy as np
 
     for name, dtype in (("cost", np.float64), ("is_follower", np.bool_), ("reached", np.bool_)):
@@ -168,6 +169,9 @@ def _check_out(out: Population, n: int) -> None:
             raise DomainError(f"out's {name} must have shape ({n},), got {array.shape}")
         if not (array.flags.c_contiguous and array.flags.writeable):
             raise DomainError(f"out's {name} must be C-contiguous and writeable")
+    for first, second in (("cost", "is_follower"), ("cost", "reached"), ("is_follower", "reached")):
+        if np.shares_memory(getattr(out, first), getattr(out, second)):
+            raise DomainError(f"out's {first} and {second} must not share memory")
 
 
 def spawn_population(
@@ -190,10 +194,11 @@ def spawn_population(
     returned. The draws are the same either way. An ``out`` of another
     size, or whose arrays differ in size, or an array that is not a
     C-contiguous, writeable numpy array of shape ``(n,)`` and its dtype
-    (float64 ``cost``, bool ``is_follower`` and ``reached``), raises
-    ``DomainError`` naming it before any draw, as does a size that is not an
-    integer or that numpy cannot describe or allocate, naming n, and a seed
-    that is not a non-negative integer, naming the seed.
+    (float64 ``cost``, bool ``is_follower`` and ``reached``), or two arrays
+    that share memory, raises ``DomainError`` naming them before any draw,
+    as does a size that is not an integer or that numpy cannot describe or
+    allocate, naming n, and a seed that is not a non-negative integer,
+    naming the seed.
     """
     import numpy as np
 

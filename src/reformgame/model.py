@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields as dataclass_fields
 from enum import Enum
 from numbers import Real
 from typing import Any, Callable, Mapping
@@ -45,53 +45,39 @@ __all__ = [
     "validate_params",
 ]
 
-# Open-interval parameters (a, gamma, s) must stay at least this far from
-# their endpoints; the endpoints are degenerate (total uncertainty or
-# total certainty) and break the closed forms.
+# The open unit-interval fields must stay at least this far from their
+# endpoints; the endpoints are degenerate (total uncertainty or total
+# certainty) and break the closed forms.
 BOUNDARY_MARGIN = 1e-12
 
 _FLOAT_MAX = sys.float_info.max
-_ABOVE_ZERO = math.nextafter(0.0, math.inf)
-_INSIDE_UNIT = f"must lie in [{BOUNDARY_MARGIN}, 1 - {BOUNDARY_MARGIN}]"
+# The (lo, hi, rule) rows that several numeric ModelParams fields share.
+_OPEN_UNIT = (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN,
+              f"must lie in [{BOUNDARY_MARGIN}, 1 - {BOUNDARY_MARGIN}]")
+_UNIT = (0.0, 1.0, "must lie in [0.0, 1.0]")
+_POSITIVE = (math.nextafter(0.0, math.inf), _FLOAT_MAX, "must be > 0")
+_NON_NEGATIVE = (0.0, _FLOAT_MAX, "must be >= 0")
 
-# Lowest and highest allowed value of every numeric ModelParams field, in
-# declaration order, with the rule quoted when a value is rejected. Open
-# ends are folded into closed bounds (BOUNDARY_MARGIN for the open unit
-# intervals, the next float up for a strict ">", the largest float for no
-# upper limit), so one chained comparison rejects NaN, +-inf and every
-# out-of-range value.
-PARAM_RANGES: dict[str, tuple[float, float, str]] = {
-    "a": (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, _INSIDE_UNIT),
-    "phi": (math.nextafter(1.0, math.inf), _FLOAT_MAX, "must be > 1"),
-    "theta": (0.0, 1.0, "must lie in [0.0, 1.0]"),
-    "gamma": (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, _INSIDE_UNIT),
-    "kappa_max": (_ABOVE_ZERO, _FLOAT_MAX, "must be > 0"),
-    "Gamma_gain": (_ABOVE_ZERO, _FLOAT_MAX, "must be > 0"),
-    "p1": (0.0, 1.0, "must lie in [0.0, 1.0]"),
-    "p2": (0.0, 1.0, "must lie in [0.0, 1.0]"),
-    "s": (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, _INSIDE_UNIT),
-    "q": (_ABOVE_ZERO, _FLOAT_MAX, "must be > 0"),
-    "w": (0.0, _FLOAT_MAX, "must be >= 0"),
-    "G2": (0.0, _FLOAT_MAX, "must be >= 0"),
-    "G3": (0.0, _FLOAT_MAX, "must be >= 0"),
-}
+
+def _ranged(lo: float, hi: float, rule: str) -> Any:
+    """A numeric ModelParams field with no default whose values must lie in
+    ``[lo, hi]``, ``rule`` being the text quoted when one does not. Open
+    ends are folded into closed bounds (BOUNDARY_MARGIN for the open unit
+    intervals, the next float up for a strict ">", the largest float for no
+    upper limit), so one chained comparison rejects NaN, +-inf and every
+    out-of-range value."""
+    return field(metadata={"range": (lo, hi, rule)})
 
 
 def _range_head(name: str, finite: bool) -> str:
     """The message of the ``field_range`` error for a value outside the
     PARAM_RANGES row of ``name``, up to the value: ``<name> <rule>, got ``.
     A finite value breaks the row's rule, any other "must be a finite
-    number"."""
+    number". validate_params appends the value; a sweep builds each head
+    once and appends the ``repr`` of each skipped float, which reads the
+    same."""
     rule = PARAM_RANGES[name][2] if finite else "must be a finite number"
     return f"{name} {rule}, got "
-
-
-def _range_message(name: str, value: float) -> str:
-    """The message of the ``field_range`` error for a value outside its
-    PARAM_RANGES row: :func:`_range_head` and the value. A sweep builds
-    each head once and appends the ``repr`` of each skipped float, which
-    reads the same."""
-    return f"{_range_head(name, -_FLOAT_MAX <= value <= _FLOAT_MAX)}{value}"
 
 
 def _leader_gain_profile(f: Mapping[str, Any]) -> str | None:
@@ -228,32 +214,24 @@ GAIN_ALLOCATION: dict[WorldState, Beneficiary] = {
 }
 
 
-# The choice fields of ModelParams, each with the enum its value must be a
-# member of: a plain string equal to a member's value is not one.
-_CHOICE_FIELDS: dict[str, type[Enum]] = {
-    "leader_type": LeaderType,
-    "threshold_convention": ThresholdConvention,
-    "posterior_convention": PosteriorConvention,
-}
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """All exogenous quantities of the model.
 
-    Fields:
-        a: certainty degree of the reform process, in (0, 1).
-        phi: complementarity degree between participants, > 1.
-        theta: share of committed followers (zero participation cost), in [0, 1].
-        gamma: fraction of the population reached by the call, in (0, 1).
-        kappa_max: upper bound of the uniform participation-cost support, > 0.
-        Gamma_gain: a participant's gain from a successful reform, > 0.
-        p1: probability that change is impossible (state E1), in [0, 1].
-        p2: conditional branch probability separating E2 from E3, in [0, 1].
+    Fields (each numeric field's declaration below carries its range and
+    rule, which PARAM_RANGES lists):
+        a: certainty degree of the reform process.
+        phi: complementarity degree between participants.
+        theta: share of committed followers (zero participation cost).
+        gamma: fraction of the population reached by the call.
+        kappa_max: upper bound of the uniform participation-cost support.
+        Gamma_gain: a participant's gain from a successful reform.
+        p1: probability that change is impossible (state E1).
+        p2: conditional branch probability separating E2 from E3.
         s: perceived probability that the policy maker's preferences
-           coincide with the majority's, in (0, 1).
-        q: ability scale in the information-acquisition cost, > 0.
-        w: ex-post participation cost scale, >= 0.
+           coincide with the majority's.
+        q: ability scale in the information-acquisition cost.
+        w: ex-post participation cost scale.
         G2, G3: the policy maker's gains from successful change in E2 / E3.
         leader_type: partisan or non-partisan.
         threshold_convention: closed form reported for the threshold.
@@ -265,19 +243,19 @@ class ModelParams:
     :func:`validate_params`.
     """
 
-    a: float
-    phi: float
-    theta: float
-    gamma: float
-    kappa_max: float
-    Gamma_gain: float
-    p1: float
-    p2: float
-    s: float
-    q: float
-    w: float
-    G2: float
-    G3: float
+    a: float = _ranged(*_OPEN_UNIT)
+    phi: float = _ranged(math.nextafter(1.0, math.inf), _FLOAT_MAX, "must be > 1")
+    theta: float = _ranged(*_UNIT)
+    gamma: float = _ranged(*_OPEN_UNIT)
+    kappa_max: float = _ranged(*_POSITIVE)
+    Gamma_gain: float = _ranged(*_POSITIVE)
+    p1: float = _ranged(*_UNIT)
+    p2: float = _ranged(*_UNIT)
+    s: float = _ranged(*_OPEN_UNIT)
+    q: float = _ranged(*_POSITIVE)
+    w: float = _ranged(*_NON_NEGATIVE)
+    G2: float = _ranged(*_NON_NEGATIVE)
+    G3: float = _ranged(*_NON_NEGATIVE)
     leader_type: LeaderType = LeaderType.NON_PARTISAN
     threshold_convention: ThresholdConvention = ThresholdConvention.DERIVED_CONSISTENT
     posterior_convention: PosteriorConvention = PosteriorConvention.PAPER
@@ -292,6 +270,19 @@ class ModelParams:
                 except OverflowError:
                     pass  # validate_params rejects it by name
         validate_params(self)
+
+
+# The (lo, hi, rule) row that every numeric ModelParams field declares, in
+# declaration order.
+PARAM_RANGES: dict[str, tuple[float, float, str]] = {
+    f.name: f.metadata["range"] for f in dataclass_fields(ModelParams) if "range" in f.metadata
+}
+
+# The choice fields of ModelParams, each with its default's enum, which its
+# value must be a member of: a string equal to a member's value is not one.
+_CHOICE_FIELDS: dict[str, type[Enum]] = {
+    f.name: type(f.default) for f in dataclass_fields(ModelParams) if isinstance(f.default, Enum)
+}
 
 
 def success_probability(a: float, phi: float, x: float) -> float:
@@ -411,7 +402,8 @@ def validate_params(params: ModelParams) -> ModelParams:
         if not isinstance(value, (float, int, Real)):
             raise ParameterError("field_range", f"{name} must be a real number, got {value!r}")
         if not lo <= value <= hi:
-            raise ParameterError("field_range", _range_message(name, value))
+            finite = -_FLOAT_MAX <= value <= _FLOAT_MAX
+            raise ParameterError("field_range", f"{_range_head(name, finite)}{value}")
     for name, choices in _CHOICE_FIELDS.items():
         value = fields[name]
         if not isinstance(value, choices):

@@ -238,6 +238,25 @@ class TestPopulationReuse:
         assert (np.asarray(out.cost) == 7.0).all()
         assert np.asarray(out.is_follower).all() and np.asarray(out.reached).all()
 
+    @pytest.mark.parametrize("first,second", [
+        ("is_follower", "reached"), ("cost", "is_follower"), ("cost", "reached")])
+    def test_arrays_sharing_memory_in_out_are_rejected(self, first, second):
+        # Filled in place, the follower draws would overwrite the reach draws
+        # (or the cost uniforms): at theta = 0.9, gamma = 0.1 a shared
+        # is_follower/reached array read about 0.9 reached, not 0.1.
+        cost = np.full(1000, 7.0)
+        arrays = {"cost": cost, "is_follower": np.ones(1000, dtype=bool),
+                  "reached": np.ones(1000, dtype=bool)}
+        arrays[second] = arrays[first] if first != "cost" else cost.view(bool)[:1000]
+        out = Population(**arrays)
+        snapshot = {name: array.copy() for name, array in arrays.items()}
+        with pytest.raises(DomainError) as err:
+            spawn_population(1000, make_params(theta=0.9, gamma=0.1), seed=2, out=out)
+        assert str(err.value) == f"out's {first} and {second} must not share memory"
+        # Rejected before any draw: nothing was overwritten.
+        for name, array in snapshot.items():
+            assert np.array_equal(getattr(out, name), array)
+
     def test_estimate_matches_fresh_populations(self):
         # Reference: a fresh population per replication, seeded as the
         # package seeds it.

@@ -2,7 +2,9 @@ import math
 import warnings
 from dataclasses import fields, replace
 from decimal import Decimal
+from enum import Enum
 from fractions import Fraction
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from reformgame import (
     success_probability,
     validate_params,
 )
-from reformgame.model import RELATIONAL_CHECKS
+from reformgame.model import _CHOICE_FIELDS, PARAM_RANGES, RELATIONAL_CHECKS
 
 from conftest import BASELINE, count_calls, count_checks, make_params, random_valid_params
 
@@ -470,6 +472,46 @@ class TestValidOnConstruction:
         assert run_command(argv) == 0
         capsys.readouterr()
         assert len(validations) == 1
+
+
+class TestFieldDeclarations:
+    """ModelParams's declarations are the one list of its fields and rules."""
+
+    @pytest.mark.parametrize("params", [
+        BASELINE,
+        random_valid_params(np.random.default_rng(5), LeaderType.PARTISAN,
+                            posterior_convention=PosteriorConvention.BAYES),
+    ], ids=["baseline", "partisan-bayes"])
+    def test_positional_construction_in_declaration_order(self, params):
+        values = [getattr(params, f.name) for f in fields(ModelParams)]
+        assert ModelParams(*values) == ModelParams(**vars(params)) == params
+
+    @pytest.mark.parametrize("name", NUMERIC_FIELDS)
+    def test_a_missing_numeric_field_is_named(self, name):
+        values = dict(vars(BASELINE))
+        del values[name]
+        with pytest.raises(TypeError, match=rf"missing 1 required positional argument: '{name}'$"):
+            ModelParams(**values)
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"theta": 1.5}, "field_range: theta must lie in [0.0, 1.0], got 1.5"),
+        ({"s": 1.0}, "field_range: s must lie in [1e-12, 1 - 1e-12], got 1.0"),
+        ({"q": math.inf}, "field_range: q must be a finite number, got inf"),
+        ({"leader_type": "partisan"},
+         "field_range: leader_type must be a LeaderType member, got 'partisan'"),
+    ], ids=["theta", "s", "q", "leader_type"])
+    def test_replace_checks_the_declared_rules(self, changes, message):
+        with pytest.raises(ParameterError) as err:
+            replace(BASELINE, **changes)
+        assert str(err.value) == message
+
+    def test_tables_follow_the_declarations(self):
+        hints = get_type_hints(ModelParams)
+        assert list(PARAM_RANGES) == [name for name, kind in hints.items() if kind is float]
+        assert _CHOICE_FIELDS == {name: kind for name, kind in hints.items()
+                                  if isinstance(kind, type) and issubclass(kind, Enum)}
+        # Every field is validated by one table or the other.
+        assert list(hints) == list(PARAM_RANGES) + list(_CHOICE_FIELDS)
 
 
 class TestGainAllocation:

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import pytest
@@ -11,6 +11,7 @@ from reformgame import (
     CaseTableError,
     DomainError,
     LeaderType,
+    ModelParams,
     Monotonicity,
     ParameterError,
     PosteriorConvention,
@@ -29,6 +30,7 @@ from reformgame import (
     load_scenario,
     write_results,
 )
+from reformgame.scenario import _SECTIONS
 
 from conftest import BASELINE, make_params
 
@@ -99,6 +101,15 @@ class TestLoadScenario:
         scenario = load_scenario(write_json(tmp_path, solve_payload()))
         assert scenario.params.threshold_convention is ThresholdConvention.DERIVED_CONSISTENT
         assert scenario.params.posterior_convention is PosteriorConvention.PAPER
+
+    def test_convention_defaults_are_the_declared_ones(self):
+        # The params section repeats the two conventions' defaults; they
+        # must stay those of ModelParams's declarations.
+        _, specs = _SECTIONS["params"]
+        optional = {spec[0]: spec[2] for spec in specs if len(spec) == 3}
+        declared = {f.name: f.default for f in fields(ModelParams)}
+        assert list(optional) == ["threshold_convention", "posterior_convention"]
+        assert optional == {name: declared[name] for name in optional}
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
