@@ -13,11 +13,11 @@ cascade returns its final threshold, not a participation mask. Success is
 then a single draw at the realized participation level.
 
 Agent state is held in parallel numpy arrays so that populations of 1e5
-agents replicate in milliseconds. Each replication of an estimate draws its
-population into the previous replication's arrays, so they are allocated
-once per estimate. The package and the CLI load this module on first use,
-and it imports numpy on the first call of a function that needs it, so
-every CLI command but ``simulate`` runs without either.
+agents replicate in milliseconds. Each replication of an estimate draws a
+fresh population, which is freed before the next one is drawn, so an
+estimate holds one population at a time. The package and the CLI load this
+module on first use, and it imports numpy on the first call of a function
+that needs it, so every CLI command but ``simulate`` runs without either.
 
 All randomness flows from explicit integer seeds (replication seeds derive
 from the master seed by a splitmix64 counter), so identical inputs reproduce
@@ -144,39 +144,7 @@ class AbmEstimate:
     abs_gap: float
 
 
-def _check_out(out: Population, n: int) -> None:
-    """DomainError naming the first array of ``out`` that the draws of n
-    agents cannot fill in place: each must be a numpy array of its dtype
-    (float64 ``cost``, bool ``is_follower`` and ``reached``) and shape
-    ``(n,)``, C-contiguous and writeable, and no two may share memory, or
-    one draw would overwrite another."""
-    import numpy as np
-
-    for name, dtype in (("cost", np.float64), ("is_follower", np.bool_), ("reached", np.bool_)):
-        array = getattr(out, name)
-        if not isinstance(array, np.ndarray):
-            raise DomainError(f"out's {name} must be a numpy array, got {type(array).__name__}")
-        if array.dtype != dtype:
-            raise DomainError(
-                f"out's {name} must have dtype {np.dtype(dtype)}, got {array.dtype}")
-        if array.size != n:
-            if name == "cost":
-                raise DomainError(
-                    f"out must hold a population of n = {n} agents, got n = {array.size}")
-            raise DomainError(
-                f"out's {name} and cost must have one entry per agent, got {array.size} and {n}")
-        if array.shape != (n,):
-            raise DomainError(f"out's {name} must have shape ({n},), got {array.shape}")
-        if not (array.flags.c_contiguous and array.flags.writeable):
-            raise DomainError(f"out's {name} must be C-contiguous and writeable")
-    for first, second in (("cost", "is_follower"), ("cost", "reached"), ("is_follower", "reached")):
-        if np.shares_memory(getattr(out, first), getattr(out, second)):
-            raise DomainError(f"out's {first} and {second} must not share memory")
-
-
-def spawn_population(
-    n: int, params: ModelParams, seed: int, out: Population | None = None
-) -> Population:
+def spawn_population(n: int, params: ModelParams, seed: int) -> Population:
     """Sample a population of n agents from the model's cost mixture.
 
     Each agent is reached with probability gamma and, independently, is a
@@ -189,36 +157,26 @@ def spawn_population(
     therefore only converts non-followers into followers and leaves
     ``reached`` unchanged.
 
-    With ``out``, a population of the same n, the draws go into ``out``'s
-    arrays instead of new ones: they are overwritten, and ``out`` itself is
-    returned. The draws are the same either way. An ``out`` of another
-    size, or whose arrays differ in size, or an array that is not a
-    C-contiguous, writeable numpy array of shape ``(n,)`` and its dtype
-    (float64 ``cost``, bool ``is_follower`` and ``reached``), or two arrays
-    that share memory, raises ``DomainError`` naming them before any draw,
-    as does a size that is not an integer or that numpy cannot describe or
-    allocate, naming n, and a seed that is not a non-negative integer,
-    naming the seed.
+    Each call allocates new arrays. A size that is not an integer or that
+    numpy cannot describe or allocate raises ``DomainError`` naming n, and
+    a seed that is not a non-negative integer raises it naming the seed.
     """
     import numpy as np
 
     n = _population_size(_integer(n, "population size n"))
     seed = _generator_seed(seed)
-    if out is not None:
-        _check_out(out, n)
     try:
-        if out is None:
-            out = Population(is_follower=np.empty(n, dtype=bool), cost=np.empty(n),
-                             reached=np.empty(n, dtype=bool))
+        population = Population(is_follower=np.empty(n, dtype=bool), cost=np.empty(n),
+                                reached=np.empty(n, dtype=bool))
     except MemoryError:
         raise DomainError(f"population size n = {n} does not fit in memory") from None
     rng = np.random.default_rng(seed)
     # The cost array holds the reach uniforms until the agent uniforms
     # replace them.
-    cost = rng.random(out=out.cost)
-    np.less(cost, params.gamma, out=out.reached)
+    cost = rng.random(out=population.cost)
+    np.less(cost, params.gamma, out=population.reached)
     rng.random(out=cost)
-    np.less(cost, params.theta, out=out.is_follower)
+    np.less(cost, params.theta, out=population.is_follower)
     # (u - theta) / (1 - theta) is at most 1 in floating point too, so no cost
     # exceeds kappa_max; a follower's negative difference becomes 0.
     np.subtract(cost, params.theta, out=cost)
@@ -226,7 +184,7 @@ def spawn_population(
     if params.theta < 1.0:  # at theta = 1 every agent is a follower
         np.divide(cost, 1.0 - params.theta, out=cost)
         np.multiply(cost, params.kappa_max, out=cost)
-    return out
+    return population
 
 
 def _state_from_uniform(p1: float, p2: float, u: float) -> WorldState:
@@ -276,8 +234,8 @@ def best_response_cascade(
     realized fraction after each round. No mask is built; a caller that
     needs the participants gets them as ``reached & (cost <= threshold)``,
     which compares in the costs' dtype, as the cascade does. A population
-    with no agents, or whose ``reached`` and ``cost`` differ in length,
-    raises ``DomainError``.
+    with no agents, whose ``reached`` and ``cost`` differ in length, or
+    whose ``reached`` is not bool raises ``DomainError``.
     """
     import numpy as np
 
@@ -289,6 +247,9 @@ def best_response_cascade(
         raise DomainError(
             f"population's reached and cost must have one entry per agent, "
             f"got {reached.size} and {n}")
+    if reached.dtype != np.bool_:
+        # `reached & (cost <= t)` would count 2 & True as 0, or raise on floats.
+        raise DomainError(f"population's reached must have dtype bool, got {reached.dtype}")
     coef = params.a * effective_gain(params)
     threshold = coef * (params.gamma * params.theta)
     count = int(np.count_nonzero(reached & (cost <= threshold)))
@@ -386,15 +347,15 @@ def estimate_equilibrium(
 ) -> AbmEstimate:
     """Estimate the equilibrium participation fraction by replication.
 
-    Each replication draws its population into the previous replication's
-    arrays (the agent arrays are allocated once) and runs the participation
-    game with the call issued and the majority-benefiting state forced, so
-    the estimate targets the analytic fixed point. Replication seeds derive
-    deterministically from the master seed; results aggregate in
-    replication order. ``_estimate_sizes`` checks the arguments first, and
-    a replication count whose results do not fit in memory raises
-    ``DomainError``. Any integer seed is accepted, negative ones included:
-    replication seeds take it modulo 2**64.
+    Each replication draws a fresh population, freed before the next one is
+    drawn, so the estimate holds one population at a time. It runs the
+    participation game with the call issued and the majority-benefiting
+    state forced, so the estimate targets the analytic fixed point.
+    Replication seeds derive deterministically from the master seed;
+    results aggregate in replication order. ``_estimate_sizes`` checks the
+    arguments first, and a replication count whose results do not fit in
+    memory raises ``DomainError``. Any integer seed is accepted, negative
+    ones included: replication seeds take it modulo 2**64.
     """
     import numpy as np
 
@@ -403,12 +364,13 @@ def estimate_equilibrium(
         fractions = np.empty(replications)
     except MemoryError:
         raise DomainError(f"replications = {replications} does not fit in memory") from None
-    population, successes = None, 0
+    successes = 0
     for rep in range(replications):
         rep_seed = derive_seed(seed, rep)
-        population = spawn_population(n, params, derive_seed(rep_seed, 0), out=population)
+        # A temporary population is freed before the next one is drawn. Both
+        # calls go through the module globals, which the benchmark's tracer patches.
         outcome = simulate_once(
-            population,
+            spawn_population(n, params, derive_seed(rep_seed, 0)),
             params,
             derive_seed(rep_seed, 1),
             force_state=WorldState.E3,

@@ -367,8 +367,11 @@ def optimal_info_effort(params: ModelParams, state: WorldState) -> float:
     ``(1 - p1) * a * gamma * G_i`` for the gain ``G_i`` attached to the
     state; against the quadratic acquisition cost the maximizer is
     ``min(1, (1 - p1) * a * gamma * G_i / q)``. Under the reformer gain
-    bound the interior solution is strictly below 1.
+    bound the interior solution is strictly below 1. A ``state`` that is
+    not a ``WorldState``, or is E1, raises ``DomainError``.
     """
+    if not isinstance(state, WorldState):
+        raise DomainError(f"state must be a WorldState, got {state!r}")
     if state is WorldState.E1:
         raise DomainError("no reform gain is defined for the status-quo state")
     gain = params.G2 if state is WorldState.E2 else params.G3

@@ -244,8 +244,18 @@ class TestOptimalInfoEffort:
     def test_rejects_status_quo_state_and_bad_q(self):
         with pytest.raises(DomainError):
             optimal_info_effort(make_params(), WorldState.E1)
+        # A state's value is not the state: "E2" must not get E3's effort.
+        with pytest.raises(DomainError, match=r"^state must be a WorldState, got 'E2'$"):
+            optimal_info_effort(make_params(), "E2")
         with pytest.raises(DomainError):
             optimal_info_effort(make_params(q=0.0), WorldState.E3)
+
+    @pytest.mark.parametrize("state", ["E1", "E3", None])
+    def test_rejects_a_state_that_is_not_a_world_state(self, state):
+        # Compared by identity, any of these would have got E3's effort.
+        with pytest.raises(DomainError) as err:
+            optimal_info_effort(make_params(), state)
+        assert str(err.value) == f"state must be a WorldState, got {state!r}"
 
 
 class TestValidateParams:
