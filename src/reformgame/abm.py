@@ -65,8 +65,8 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 
 def derive_seed(master: int, index: int) -> int:
-    """Derive the index-th child seed from a master seed (splitmix64 mix)."""
-    z = (master + (index + 1) * _SPLITMIX_GAMMA) & _MASK64
+    """The index-th child seed of an integer master seed (splitmix64 mix)."""
+    z = (_integer(master, "master") + (_integer(index, "index") + 1) * _SPLITMIX_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64

@@ -19,15 +19,16 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .model import (
-    DomainError,
+    _NON_NEGATIVE,
     LeaderType,
     ModelParams,
     ThresholdConvention,
     WorldState,
+    _checked,
+    _posterior,
     info_acquisition_cost,
     optimal_info_effort,
     partisan_participation_cost,
-    posterior_change_state,
 )
 
 __all__ = [
@@ -106,10 +107,10 @@ def effective_gain(params: ModelParams) -> float:
 
 
 def _gain(f: Mapping[str, Any]) -> float:
-    """:func:`effective_gain` of a parameter set's field mapping."""
+    """:func:`effective_gain` of a valid set's field mapping, so with no argument checks."""
     if f["leader_type"] is LeaderType.NON_PARTISAN:
         return f["Gamma_gain"]
-    return f["Gamma_gain"] * posterior_change_state(f["s"], f["p2"], f["posterior_convention"])
+    return f["Gamma_gain"] * _posterior(f["s"], f["p2"], f["posterior_convention"])
 
 
 def best_response_map(params: ModelParams, kappa: float) -> float:
@@ -118,10 +119,9 @@ def best_response_map(params: ModelParams, kappa: float) -> float:
     If non-followers currently participate up to cost ``kappa``, the
     participating fraction is ``gamma * (theta + (1-theta) * min(kappa,
     kappa_max)/kappa_max)`` and the next-round threshold is ``a * Gamma_eff``
-    times that fraction.
+    times that fraction. ``kappa`` must be a finite number >= 0.
     """
-    if not kappa >= 0.0:  # NaN fails too
-        raise DomainError(f"threshold kappa must be >= 0, got {kappa}")
+    kappa = _checked("kappa", kappa, _NON_NEGATIVE)
     gain = effective_gain(params)
     clipped = min(kappa, params.kappa_max)
     return (

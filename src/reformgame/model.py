@@ -51,7 +51,7 @@ __all__ = [
 BOUNDARY_MARGIN = 1e-12
 
 _FLOAT_MAX = sys.float_info.max
-# The (lo, hi, rule) rows that several numeric ModelParams fields share.
+# The (lo, hi, rule) rows that several numeric fields, and primitive arguments, share.
 _OPEN_UNIT = (BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN,
               f"must lie in [{BOUNDARY_MARGIN}, 1 - {BOUNDARY_MARGIN}]")
 _UNIT = (0.0, 1.0, "must lie in [0.0, 1.0]")
@@ -69,15 +69,33 @@ def _ranged(lo: float, hi: float, rule: str) -> Any:
     return field(metadata={"range": (lo, hi, rule)})
 
 
-def _range_head(name: str, finite: bool) -> str:
-    """The message of the ``field_range`` error for a value outside the
-    PARAM_RANGES row of ``name``, up to the value: ``<name> <rule>, got ``.
-    A finite value breaks the row's rule, any other "must be a finite
-    number". validate_params appends the value; a sweep builds each head
-    once and appends the ``repr`` of each skipped float, which reads the
-    same."""
-    rule = PARAM_RANGES[name][2] if finite else "must be a finite number"
-    return f"{name} {rule}, got "
+def _range_head(name: str, rule: str, finite: bool) -> str:
+    """``<name> <rule>, got ``: the text of a value of ``name`` outside its
+    row, up to the value, where one that is not finite breaks "must be a
+    finite number". _checked appends the value; a sweep builds each head
+    once and appends each skipped float's ``repr``, which reads the same."""
+    return f"{name} {rule if finite else 'must be a finite number'}, got "
+
+
+def _checked(name: str, value: Any, row: tuple[float, float, str]) -> float:
+    """``value`` as a float if it is a real number in ``row``'s [lo, hi], else
+    DomainError naming ``name``: not a real number, not finite (NaN, +-inf,
+    past the float range), or breaking ``rule``. It is every range check: a
+    field's, and a primitive argument's against its field's row (``_UNIT``
+    for ``x``, ``pi`` and ``s``; ``_NON_NEGATIVE`` for ``kappa``)."""
+    lo, hi, rule = row
+    number = value
+    if type(value) is not float:  # compared as a float: a float32 would round the bounds
+        if not isinstance(value, (int, Real)):  # int skips the ABC's slower check
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # past the float range: compared exactly, so not finite
+            pass
+    if not lo <= number <= hi:
+        finite = -_FLOAT_MAX <= number <= _FLOAT_MAX
+        raise DomainError(f"{_range_head(name, rule, finite)}{number}")
+    return number
 
 
 def _leader_gain_profile(f: Mapping[str, Any]) -> str | None:
@@ -237,10 +255,10 @@ class ModelParams:
         threshold_convention: closed form reported for the threshold.
         posterior_convention: belief-update rule after a partisan's call.
 
-    Construction (``dataclasses.replace`` too) stores each numeric field
-    that is a real number as a ``float``, so a numpy ``float32`` or an
-    ``int`` is solved in double precision, then calls
-    :func:`validate_params`.
+    Construction (``dataclasses.replace`` too) calls
+    :func:`validate_params`, which stores each numeric field as a
+    ``float``, so a numpy ``float32`` or an ``int`` is solved in double
+    precision.
     """
 
     a: float = _ranged(*_OPEN_UNIT)
@@ -261,14 +279,6 @@ class ModelParams:
     posterior_convention: PosteriorConvention = PosteriorConvention.PAPER
 
     def __post_init__(self) -> None:
-        fields = self.__dict__  # the instance is frozen; write past __setattr__
-        for name in PARAM_RANGES:
-            value = fields[name]
-            if type(value) is not float and isinstance(value, Real):
-                try:
-                    fields[name] = float(value)
-                except OverflowError:
-                    pass  # validate_params rejects it by name
         validate_params(self)
 
 
@@ -291,34 +301,23 @@ def success_probability(a: float, phi: float, x: float) -> float:
     Equals ``a * x**phi / phi``, which lies in [0, a/phi]: increasing and
     convex in x, linear in a, decreasing in phi for x in (0, 1).
     """
-    if not (0.0 < a < 1.0):
-        raise DomainError(f"certainty degree a must lie strictly in (0, 1), got {a}")
-    if not phi > 1.0:
-        raise DomainError(f"complementarity degree phi must be > 1, got {phi}")
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"participating fraction x must lie in [0, 1], got {x}")
+    a = _checked("a", a, PARAM_RANGES["a"])
+    phi = _checked("phi", phi, PARAM_RANGES["phi"])
+    x = _checked("x", x, _UNIT)
     return a * x**phi / phi
 
 
 def info_acquisition_cost(q: float, pi: float) -> float:
     """Cost of acquiring state information with probability pi: q * pi**2 / 2."""
-    if not math.isfinite(q):
-        raise DomainError(f"ability scale q must be a finite number, got {q}")
-    if not q > 0.0:
-        raise DomainError(f"ability scale q must be > 0, got {q}")
-    if not (0.0 <= pi <= 1.0):
-        raise DomainError(f"acquisition probability pi must lie in [0, 1], got {pi}")
+    q = _checked("q", q, PARAM_RANGES["q"])
+    pi = _checked("pi", pi, _UNIT)
     return 0.5 * q * pi * pi
 
 
 def partisan_participation_cost(w: float, theta: float) -> float:
     """Ex-post participation cost of the follower core: w * theta**2 / 2."""
-    if not math.isfinite(w):
-        raise DomainError(f"cost scale w must be a finite number, got {w}")
-    if w < 0.0:
-        raise DomainError(f"cost scale w must be >= 0, got {w}")
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"follower share theta must lie in [0, 1], got {theta}")
+    w = _checked("w", w, PARAM_RANGES["w"])
+    theta = _checked("theta", theta, PARAM_RANGES["theta"])
     return 0.5 * w * theta * theta
 
 
@@ -335,11 +334,17 @@ def posterior_change_state(
     priors when a partisan calls in both change states and an aligned one
     (probability s) only in E3. Both return 1 at s = 1; at s = 0 the first
     returns p2 and the second 1 - p2.
+
+    ``s`` takes the ``_UNIT`` row, wider than its field's: both forms are
+    defined at s = 0 and 1, with the values above, while a parameter set
+    certain of the policy maker's type is degenerate.
     """
-    if not (0.0 <= s <= 1.0):
-        raise DomainError(f"alignment probability s must lie in [0, 1], got {s}")
-    if not (0.0 <= p2 <= 1.0):
-        raise DomainError(f"branch probability p2 must lie in [0, 1], got {p2}")
+    s = _checked("s", s, _UNIT)
+    return _posterior(s, _checked("p2", p2, PARAM_RANGES["p2"]), convention)
+
+
+def _posterior(s: float, p2: float, convention: PosteriorConvention) -> float:
+    """:func:`posterior_change_state` of in-range floats, without the checks."""
     if convention is PosteriorConvention.PAPER:
         denom = p2 + (1.0 - s) * (1.0 - p2)
         if denom == 0.0:
@@ -353,10 +358,8 @@ def posterior_change_state(
 
 def state_probabilities(p1: float, p2: float) -> tuple[float, float, float]:
     """Prior probabilities of (E1, E2, E3): (p1, (1-p1)*p2, (1-p1)*(1-p2))."""
-    if not (0.0 <= p1 <= 1.0):
-        raise DomainError(f"p1 must lie in [0, 1], got {p1}")
-    if not (0.0 <= p2 <= 1.0):
-        raise DomainError(f"p2 must lie in [0, 1], got {p2}")
+    p1 = _checked("p1", p1, PARAM_RANGES["p1"])
+    p2 = _checked("p2", p2, PARAM_RANGES["p2"])
     return (p1, (1.0 - p1) * p2, (1.0 - p1) * (1.0 - p2))
 
 
@@ -379,7 +382,7 @@ def optimal_info_effort(params: ModelParams, state: WorldState) -> float:
 
 
 def validate_params(params: ModelParams) -> ModelParams:
-    """Check every model invariant and return the parameters unchanged.
+    """Check every model invariant and return the parameters, each numeric field a float.
 
     Walks every row of :data:`PARAM_RANGES`, then the three choice fields,
     then every row of :data:`RELATIONAL_CHECKS`, in table order, and raises
@@ -398,15 +401,12 @@ def validate_params(params: ModelParams) -> ModelParams:
     from a valid base's in one field, runs only that field's range and the
     table rows that read it, and reads their text without raising.
     """
-    fields = vars(params)
-    for name, (lo, hi, _) in PARAM_RANGES.items():
-        value = fields[name]
-        # float and int first: they match without the ABC's slower check.
-        if not isinstance(value, (float, int, Real)):
-            raise ParameterError("field_range", f"{name} must be a real number, got {value!r}")
-        if not lo <= value <= hi:
-            finite = -_FLOAT_MAX <= value <= _FLOAT_MAX
-            raise ParameterError("field_range", f"{_range_head(name, finite)}{value}")
+    fields = vars(params)  # the instance is frozen; write past __setattr__
+    try:
+        for name, row in PARAM_RANGES.items():
+            fields[name] = _checked(name, fields[name], row)
+    except DomainError as exc:
+        raise ParameterError("field_range", str(exc)) from None
     for name, choices in _CHOICE_FIELDS.items():
         value = fields[name]
         if not isinstance(value, choices):

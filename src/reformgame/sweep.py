@@ -186,15 +186,15 @@ def grid_sweep(
         )
     grid = _grid(values, "sweep grid")
 
-    lo, hi, _ = PARAM_RANGES[parameter_name]
+    lo, hi, rule = PARAM_RANGES[parameter_name]
     # _grid proved the grid strictly increasing and free of NaN, so it is five
     # runs, each possibly empty: -inf, finite values below the range, the
     # in-range points, finite values above it, +inf.
     first, last = bisect_right(grid, -math.inf), bisect_left(grid, math.inf)
     start, stop = bisect_left(grid, lo, first, last), bisect_right(grid, hi, first, last)
     # A skipped value's text is that of the error the constructor would raise.
-    finite = f"field_range: {_range_head(parameter_name, True)}"
-    infinite = f"field_range: {_range_head(parameter_name, False)}"
+    finite = f"field_range: {_range_head(parameter_name, rule, True)}"
+    infinite = f"field_range: {_range_head(parameter_name, rule, False)}"
     feeds_gain = parameter_name in _GAIN_FIELDS[base.leader_type]
     checks = [(constraint, check) for constraint, (check, reads) in RELATIONAL_CHECKS.items()
               if parameter_name in reads]

@@ -50,6 +50,19 @@ class TestSeedDerivation:
         for i in (0, 1, 2**62):
             assert 0 <= derive_seed(2**64 - 1, i) < 2**64
 
+    @pytest.mark.parametrize("name", ["master", "index"])
+    @pytest.mark.parametrize("value", [1.0, "x", None])
+    def test_rejects_a_non_integer_by_name(self, name, value):
+        # Each raised a bare TypeError from the bit arithmetic.
+        with pytest.raises(DomainError) as err:
+            derive_seed(**{"master": 1, "index": 0, name: value})
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_accepts_negative_integers(self):
+        # estimate_equilibrium documents negative master seeds: modulo 2**64.
+        assert derive_seed(-1, 0) == derive_seed(2**64 - 1, 0)
+        assert 0 <= derive_seed(1, -2) < 2**64
+
 
 class TestSpawnPopulation:
     def test_reproducible(self):
@@ -690,6 +703,19 @@ class TestEstimateEquilibrium:
             for theta in (0.1, 0.2, 0.4)
         ]
         assert means[0] < means[1] < means[2]
+
+    def test_finite_n_bias_near_the_gain_bound(self):
+        # Near the bound (L = 0.942) the cascade stops short of x*: the finite
+        # pool of reached non-followers' costs caps the count above the
+        # threshold. The count path read bias*n = -210; seeds 1-5 here read
+        # -211 to -227, each with a standard error of about 15. The band is
+        # -210 +- 4 of those errors, so an unbiased estimator fails it, and
+        # so does one with twice the bias.
+        n = 10_000
+        estimate = estimate_equilibrium(make_params(**NEAR_BOUND), n=n, replications=2000,
+                                        seed=1)
+        assert estimate.stderr_x * n == pytest.approx(15, abs=3)
+        assert -270 <= (estimate.mean_x - estimate.analytic_x) * n <= -150
 
     def test_success_rate_is_a_probability(self):
         estimate = estimate_equilibrium(make_params(), n=2000, replications=10, seed=73)

@@ -59,7 +59,7 @@ class TestBestResponseMap:
             best_response_map(make_params(), -0.01)
 
     def test_nan_threshold_rejected(self):
-        with pytest.raises(DomainError, match="^threshold kappa must be >= 0, got nan$"):
+        with pytest.raises(DomainError, match="^kappa must be a finite number, got nan$"):
             best_response_map(make_params(), math.nan)
 
     def test_saturates_above_kappa_max(self):
@@ -203,7 +203,7 @@ class TestSolveFixedPoint:
         params = make_params(Gamma_gain=2.2, G3=3.0, G2=2.0, leader_type=LeaderType.PARTISAN,
                              threshold_convention=convention)
         gains = count_calls(monkeypatch, "effective_gain", owner="equilibrium")
-        posteriors = count_calls(monkeypatch, "posterior_change_state")
+        posteriors = count_calls(monkeypatch, "_posterior")
         result = solve_fixed_point(params)
         assert (len(gains), len(posteriors)) == (1, 1)
         assert abs(result.kappa_star - closed_form_threshold(params)) == result.closed_form_gap

@@ -108,23 +108,24 @@ class TestCosts:
             partisan_participation_cost(1.0, -0.2)
 
     @pytest.mark.parametrize("cost,name,value", [
-        (partisan_participation_cost, "cost scale w", math.nan),
-        (partisan_participation_cost, "cost scale w", math.inf),
-        (partisan_participation_cost, "cost scale w", -math.inf),
-        (info_acquisition_cost, "ability scale q", math.nan),
-        (info_acquisition_cost, "ability scale q", math.inf),
+        (partisan_participation_cost, "w", math.nan),
+        (partisan_participation_cost, "w", math.inf),
+        (partisan_participation_cost, "w", -math.inf),
+        (info_acquisition_cost, "q", math.nan),
+        (info_acquisition_cost, "q", math.inf),
     ])
     def test_non_finite_scale(self, cost, name, value):
         with pytest.raises(DomainError, match=f"^{name} must be a finite number, got {value}$"):
             cost(value, 0.5)
 
     @pytest.mark.parametrize("cost,message", [
-        (partisan_participation_cost, "cost scale w must be >= 0, got -0.1"),
-        (info_acquisition_cost, "ability scale q must be > 0, got -0.1"),
+        (partisan_participation_cost, "w must be >= 0, got -0.1"),
+        (info_acquisition_cost, "q must be > 0, got -0.1"),
     ])
     def test_negative_scale_message(self, cost, message):
-        with pytest.raises(DomainError, match=f"^{message}$"):
+        with pytest.raises(DomainError, match=f"^{message}$") as err:
             cost(-0.1, 0.5)
+        assert err.type is DomainError  # not a field's ParameterError
 
     @given(q=st.floats(0.1, 10.0), t=st.floats(0.0, 0.5))
     @settings(max_examples=200)
@@ -199,6 +200,16 @@ class TestStateProbabilities:
     def test_hand_values(self):
         p = state_probabilities(0.3, 0.4)
         assert p == pytest.approx((0.3, 0.28, 0.42), rel=1e-12)
+
+    @pytest.mark.parametrize("p1,p2,expected", [
+        (True, 0.5, (1.0, 0.0, 0.0)),  # returned (True, 0.0, 0.0)
+        (1, 0, (1.0, 0.0, 0.0)),
+        (Fraction(1, 4), np.float32(0.5), (0.25, 0.375, 0.375)),
+    ], ids=["bool", "int", "fraction-float32"])
+    def test_returns_floats(self, p1, p2, expected):
+        probs = state_probabilities(p1, p2)
+        assert probs == expected
+        assert all(type(p) is float for p in probs)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
