@@ -41,6 +41,7 @@ from .model import (
     LeaderType,
     ModelParams,
     WorldState,
+    _shown,
     optimal_info_effort,
     state_probabilities,
     success_probability,
@@ -83,7 +84,7 @@ def _integer(value, name: str) -> int:
 def _population_size(n: int) -> int:
     """n, an integer; DomainError naming it unless numpy can describe an array of n."""
     if not 1 <= n <= _MAX_ARRAY:
-        raise DomainError(f"population size n must lie in [1, {_MAX_ARRAY}], got {n}")
+        raise DomainError(f"population size n must lie in [1, {_MAX_ARRAY}], got {_shown(n)}")
     return n
 
 
@@ -93,9 +94,10 @@ def _estimate_sizes(n, replications, seed) -> tuple[int, int, int]:
     replications = _integer(replications, "replications")
     seed = _integer(seed, "seed")
     if n < 1000:
-        raise DomainError(f"need at least 1000 agents per replication, got {n}")
+        raise DomainError(f"need at least 1000 agents per replication, got {_shown(n)}")
     if not 2 <= replications <= _MAX_ARRAY:
-        raise DomainError(f"replications must lie in [2, {_MAX_ARRAY}], got {replications}")
+        raise DomainError(
+            f"replications must lie in [2, {_MAX_ARRAY}], got {_shown(replications)}")
     return _population_size(n), replications, seed
 
 
@@ -103,7 +105,7 @@ def _generator_seed(seed) -> int:
     """seed as an int numpy's generator takes; DomainError naming it otherwise."""
     seed = _integer(seed, "seed")
     if seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+        raise DomainError(f"seed must be a non-negative integer, got {_shown(seed)}")
     return seed
 
 

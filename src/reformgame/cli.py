@@ -117,7 +117,7 @@ def _cmd_sweep(scenario: Scenario):  # -> sweep.SweepSeries
         f"sweep over {series.parameter_name} ({len(series.values)} points): "
         f"kappa_star is {series.monotonicity.value}"
     )
-    for value, reason in series.skipped:
+    for value, reason in series.reasons():
         print(f"  skipped {series.parameter_name} = {value:g}: {reason}", file=sys.stderr)
     return series
 

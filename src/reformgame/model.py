@@ -72,8 +72,9 @@ def _ranged(lo: float, hi: float, rule: str) -> Any:
 def _range_head(name: str, rule: str, finite: bool) -> str:
     """``<name> <rule>, got ``: the text of a value of ``name`` outside its
     row, up to the value, where one that is not finite breaks "must be a
-    finite number". _checked appends the value; a sweep builds each head
-    once and appends each skipped float's ``repr``, which reads the same."""
+    finite number". _checked appends the value; ``SweepSeries.reasons()``
+    builds each head once per series and appends each skipped float's
+    ``repr``, which reads the same."""
     return f"{name} {rule if finite else 'must be a finite number'}, got "
 
 
@@ -94,8 +95,17 @@ def _checked(name: str, value: Any, row: tuple[float, float, str]) -> float:
             pass
     if not lo <= number <= hi:
         finite = -_FLOAT_MAX <= number <= _FLOAT_MAX
-        raise DomainError(f"{_range_head(name, rule, finite)}{number}")
+        raise DomainError(f"{_range_head(name, rule, finite)}{_shown(number)}")
     return number
+
+
+def _shown(number: Any) -> str:
+    """``f"{number}"``, or for an int too long for ``str()`` (more than
+    ``sys.get_int_max_str_digits()`` digits) a text that says so."""
+    try:
+        return f"{number}"
+    except ValueError:
+        return f"a number of more than {sys.get_int_max_str_digits()} digits"
 
 
 def _leader_gain_profile(f: Mapping[str, Any]) -> str | None:
@@ -139,8 +149,10 @@ def _reformer_gain_bound(f: Mapping[str, Any]) -> str | None:
 # The rule a row must keep: along any strictly increasing run of in-range
 # values of one field it reads, all else fixed, its failures form a prefix or
 # a suffix of the run, so its verdict changes at most once. grid_sweep finds
-# the kept points by bisection and runs no row on them otherwise. The rows
-# keep it because IEEE rounding is monotone:
+# the kept points by bisection and runs no row otherwise: the values a row's
+# bisection cuts off pass every earlier row, so that interval gives each
+# rejected value its first failing row. The rows keep it because IEEE
+# rounding is monotone:
 # - participant_gain_bound fails when kappa_max <= (a*gamma)*Gamma_gain, a
 #   product that never falls as a, gamma or Gamma_gain rises;
 # - reformer_gain_bound: q/(((1-p1)*a)*gamma) never falls as q or p1 rises

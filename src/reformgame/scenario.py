@@ -417,7 +417,7 @@ def _layout(result: Any) -> tuple[list[dict[str, Any]], Any]:
                 for value, point in zip(result.values, points)]
         return rows, {"parameter_name": result.parameter_name, "values": result.values,
                       "outputs": points, "monotonicity": result.monotonicity,
-                      "target": "kappa_star", "skipped": result.skipped}
+                      "target": "kappa_star", "skipped": result.reasons()}
     records = result if isinstance(result, (list, tuple)) else [result]
     kinds = (EquilibriumResult, BancarizationSeries, *_loaded("abm", "AbmEstimate"))
     if not records or not isinstance(records[0], kinds):

@@ -7,7 +7,8 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .equilibrium import (
     _GAIN_FIELDS,
@@ -67,15 +68,19 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepSeries:
-    """Equilibrium quantities along one parameter grid.
+    """Equilibrium quantities along one parameter grid about ``base``.
 
     ``values`` keeps only the grid points that produced a valid model;
-    points rejected by validation are listed in ``skipped`` with the
-    violated constraint. ``kappa_star``, ``x_star`` and ``psi_star`` are
-    columns of floats aligned with ``values``, so a series holds no object
-    per point. ``monotonicity`` classifies the ``kappa_star`` column.
+    points rejected by validation are listed in ``skipped`` as
+    ``(value, constraint)``, the key of the first rule the value breaks
+    (``field_range`` or a :data:`RELATIONAL_CHECKS` key), and
+    :meth:`reasons` gives their texts. ``kappa_star``, ``x_star`` and
+    ``psi_star`` are columns of floats aligned with ``values``, so a series
+    holds no object per point. ``monotonicity`` classifies the
+    ``kappa_star`` column.
     """
 
+    base: ModelParams
     parameter_name: str
     values: tuple[float, ...]
     kappa_star: tuple[float, ...]
@@ -88,6 +93,29 @@ class SweepSeries:
     def outputs(self) -> tuple[SweepPoint, ...]:
         """The columns as one SweepPoint per kept point, built on each read."""
         return tuple(map(SweepPoint, self.kappa_star, self.x_star, self.psi_star))
+
+    def reasons(self) -> tuple[tuple[float, str], ...]:
+        """``skipped`` with each key replaced by the text of the
+        ``ParameterError`` that the constructor raises at that value."""
+        return tuple(_reasons(self.base, self.parameter_name, self.skipped))
+
+
+def _reasons(base: ModelParams, name: str,
+             skipped: Iterable[tuple[float, str]]) -> Iterator[tuple[float, str]]:
+    """Each ``(value, constraint)`` of a sweep of ``name`` about ``base`` as
+    ``(value, text)``: a range's text is one head per side and the value's
+    ``repr``, which ``_checked`` writes the same, and a relational row's is
+    what the row returns at the point."""
+    _, _, rule = PARAM_RANGES[name]
+    finite = f"field_range: {_range_head(name, rule, True)}"
+    infinite = f"field_range: {_range_head(name, rule, False)}"
+    point = dict(vars(base))
+    for value, constraint in skipped:
+        if constraint == "field_range":
+            yield value, f"{finite if math.isfinite(value) else infinite}{value!r}"
+        else:
+            point[name] = value
+            yield value, f"{constraint}: {RELATIONAL_CHECKS[constraint][0](point)}"
 
 
 def monotonicity_check(series: Sequence[float]) -> Monotonicity:
@@ -144,9 +172,11 @@ def grid_sweep(
     """Solve the equilibrium at each grid value of one parameter.
 
     The grid must be non-empty and strictly increasing. Grid points whose
-    parameter set fails validation are skipped and reported; a grid with no
-    valid point at all is an error. The monotonicity verdict applies to
-    kappa_star over the retained points.
+    parameter set fails validation are skipped and reported in ``skipped``
+    by the key of the constraint the constructor would raise, with no text:
+    ``SweepSeries.reasons()`` builds the texts. A grid with no valid point
+    at all is an error, which quotes the first skipped point's text. The
+    monotonicity verdict applies to kappa_star over the retained points.
 
     A point is the base's field mapping, ``dict(vars(base))``, copied once
     per sweep, with the varied field set to the point's value. It computes
@@ -155,18 +185,16 @@ def grid_sweep(
 
     - it compares no value with the field's :data:`PARAM_RANGES` row: the
       grid is strictly increasing, so the values outside the row are a
-      prefix and a suffix of it, which bisection finds. Each is skipped
-      with the constructor's text, one head built once per sweep and the
-      value's ``repr``; an infinite end keeps its own rule;
+      prefix and a suffix of it, which bisection finds, each skipped as
+      ``field_range``;
     - it runs only the :data:`RELATIONAL_CHECKS` rows that read the field,
       on the point's mapping; every other check reads only the base's
       values, which passed. A row's verdict changes at most once along the
       in-range values (the rule above the table), so the kept points are one
       run of the grid: each row tests the run's first value, and bisection
-      finds where its verdict flips. A kept value runs a row only as one of
-      those probes. A rejected in-range value runs the rows in table order;
-      a row returns its rule's text, so the point is skipped with the
-      constructor's text and raises nothing;
+      finds where its verdict flips. The values a row cuts off the run pass
+      every earlier row, so they are skipped under its key. No value runs a
+      row except as one of those probes, and no skipped value is formatted;
     - ``effective_gain`` is computed once per sweep unless the field feeds
       it (``Gamma_gain``, and ``s`` and ``p2`` for a partisan);
     - the solver's kernel runs on the point's mapping once per kept point,
@@ -186,15 +214,12 @@ def grid_sweep(
         )
     grid = _grid(values, "sweep grid")
 
-    lo, hi, rule = PARAM_RANGES[parameter_name]
-    # _grid proved the grid strictly increasing and free of NaN, so it is five
-    # runs, each possibly empty: -inf, finite values below the range, the
-    # in-range points, finite values above it, +inf.
-    first, last = bisect_right(grid, -math.inf), bisect_left(grid, math.inf)
-    start, stop = bisect_left(grid, lo, first, last), bisect_right(grid, hi, first, last)
-    # A skipped value's text is that of the error the constructor would raise.
-    finite = f"field_range: {_range_head(parameter_name, rule, True)}"
-    infinite = f"field_range: {_range_head(parameter_name, rule, False)}"
+    lo, hi, _ = PARAM_RANGES[parameter_name]
+    # _grid proved the grid strictly increasing, so the values outside the
+    # row are a prefix and a suffix of it. A one-point grid can be NaN, which
+    # no comparison passes: the searches end at +inf's place, past it.
+    last = bisect_left(grid, math.inf)
+    start, stop = bisect_left(grid, lo, 0, last), bisect_right(grid, hi, 0, last)
     feeds_gain = parameter_name in _GAIN_FIELDS[base.leader_type]
     checks = [(constraint, check) for constraint, (check, reads) in RELATIONAL_CHECKS.items()
               if parameter_name in reads]
@@ -207,40 +232,35 @@ def grid_sweep(
     # Each row's verdict changes at most once along the in-range run (the
     # rule above RELATIONAL_CHECKS), so the kept points are one run. Each row
     # that reads the field narrows it: from its verdict at the run's first
-    # point, bisection finds where the verdict flips.
+    # point, bisection finds where the verdict flips. The values it cuts off
+    # pass every earlier row, so the row is their first failure.
     def flipped(index: int) -> bool:
         point[parameter_name] = grid[index]
         return (check(point) is None) is not passes_first
 
     kstart, kstop = start, stop
-    for _, check in checks:
+    # The skipped runs as (start, stop, constraint): those below the kept run
+    # in grid order, and those above it from the grid's end down.
+    below, above = [(0, start, "field_range")], [(stop, len(grid), "field_range")]
+    for constraint, check in checks:
         if kstart == kstop:
             break
         point[parameter_name] = grid[kstart]
         passes_first = check(point) is None
         flip = bisect_left(range(stop), True, kstart + 1, kstop, key=flipped)
         if passes_first:
+            above.append((flip, kstop, constraint))
             kstop = flip
         else:
+            below.append((kstart, flip, constraint))
             kstart = flip
-
-    skipped = [(value, f"{infinite}{value!r}") for value in grid[:first]]
-    skipped += [(value, f"{finite}{value!r}") for value in grid[first:start]]
-    # A rejected in-range point runs the rows in table order for its text.
-    for value in grid[start:kstart] + grid[kstop:stop]:
-        point[parameter_name] = value
-        for constraint, check in checks:
-            reason = check(point)
-            if reason is not None:
-                skipped.append((value, f"{constraint}: {reason}"))
-                break
-    skipped += [(value, f"{finite}{value!r}") for value in grid[stop:last]]
-    skipped += [(value, f"{infinite}{value!r}") for value in grid[last:]]
+    skipped = []
+    for a, b, constraint in below + above[::-1]:
+        skipped += zip(grid[a:b], repeat(constraint))
     if kstart == kstop:
+        _, first = next(_reasons(base, parameter_name, skipped))
         raise ParameterError(
-            "sweep_grid",
-            f"no valid grid point for {parameter_name}; first rejection: {skipped[0][1]}",
-        )
+            "sweep_grid", f"no valid grid point for {parameter_name}; first rejection: {first}")
     kept = grid[kstart:kstop]
     if solved is not None:
         kappas, xs, psis = ((column,) * len(kept) for column in solved)
@@ -255,6 +275,7 @@ def grid_sweep(
             xs.append(x_star)
             psis.append(psi_star)
     return SweepSeries(
+        base=base,
         parameter_name=parameter_name,
         values=tuple(kept),
         kappa_star=tuple(kappas),

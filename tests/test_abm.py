@@ -677,6 +677,24 @@ class TestEstimateEquilibrium:
         assert str(err.value) == (
             f"replications must lie in [2, {sys.maxsize // 8}], got {10**20}")
 
+    @pytest.mark.parametrize("call,head", [
+        (lambda v: estimate_equilibrium(make_params(), n=1000, replications=v, seed=1),
+         f"replications must lie in [2, {sys.maxsize // 8}], got "),
+        (lambda v: estimate_equilibrium(make_params(), n=-v, replications=2, seed=1),
+         "need at least 1000 agents per replication, got "),
+        (lambda v: spawn_population(v, make_params(), 1),
+         f"population size n must lie in [1, {sys.maxsize // 8}], got "),
+        (lambda v: spawn_population(1000, make_params(), -v),
+         "seed must be a non-negative integer, got "),
+    ], ids=["replications", "n", "population-size", "seed"])
+    def test_int_too_long_to_print_is_named(self, call, head):
+        # str() of an int past sys.get_int_max_str_digits() digits raises
+        # ValueError, so the message gives the limit in place of the digits.
+        with pytest.raises(DomainError) as err:
+            call(10**5000)
+        assert str(err.value) == (
+            f"{head}a number of more than {sys.get_int_max_str_digits()} digits")
+
     def test_unallocatable_replications(self, no_result_arrays):
         with pytest.raises(DomainError) as err:
             estimate_equilibrium(make_params(), n=1000, replications=10**15, seed=1)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import fields, replace
 from decimal import Decimal
@@ -402,6 +403,20 @@ class TestValidateParams:
         with pytest.raises(ParameterError) as err:
             make_params(w=value)
         assert str(err.value) == f"field_range: w must be a finite number, got {value}"
+
+    @pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["10**5000", "-10**5000"])
+    def test_int_too_long_to_print_is_named(self, value):
+        # str() of an int past sys.get_int_max_str_digits() digits raises
+        # ValueError, so the message gives the limit in place of the digits.
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParameterError) as err:
+            make_params(w=value)
+        assert str(err.value) == (
+            f"field_range: w must be a finite number, got a number of more than {limit} digits")
+        with pytest.raises(DomainError) as err:
+            info_acquisition_cost(value, 0.5)
+        assert str(err.value) == (
+            f"q must be a finite number, got a number of more than {limit} digits")
 
     def test_other_real_types_accepted(self):
         params = make_params(q=np.int64(1), w=Fraction(1, 2))

@@ -87,7 +87,7 @@ PUBLIC_CALLS = {
 }
 ARGUMENTS = [(function, argument) for function, (_, defaults, _) in PUBLIC_CALLS.items()
              for argument in defaults]
-BAD_VALUES = [math.nan, math.inf, -math.inf, 10**400, -1, "x", None]
+BAD_VALUES = [math.nan, math.inf, -math.inf, 10**400, 10**5000, -1, "x", None]
 
 
 def all_finite(result) -> bool:

@@ -551,13 +551,14 @@ class TestLoadForCommand:
 WRITTEN = [
     pytest.param(
         SweepSeries(
+            base=BASELINE,
             parameter_name="theta",
             values=(0.1, 0.3),
             kappa_star=(2 / 17, 0.1),
             x_star=(4 / 17, 0.2),
             psi_star=(0.5, 1 / 3),
             monotonicity=Monotonicity.DECREASING,
-            skipped=((0.2, "participant_gain_bound: a*gamma*Gamma_gain must be < kappa_max"),),
+            skipped=((1.5, "field_range"),),
         ),
         """\
 parameter,value,kappa_star,x_star,psi_star
@@ -587,8 +588,8 @@ theta,0.3,0.1,0.2,0.333333333333
   "target": "kappa_star",
   "skipped": [
     [
-      0.2,
-      "participant_gain_bound: a*gamma*Gamma_gain must be < kappa_max"
+      1.5,
+      "field_range: theta must lie in [0.0, 1.0], got 1.5"
     ]
   ]
 }
@@ -597,6 +598,7 @@ theta,0.3,0.1,0.2,0.333333333333
     ),
     pytest.param(
         SweepSeries(
+            base=BASELINE,
             parameter_name="kappa_max",
             values=(1e-05, 1e11),
             kappa_star=(0.0, 1e11),

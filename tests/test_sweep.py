@@ -110,9 +110,14 @@ class TestGridSweep:
         series = grid_sweep(make_params(), "Gamma_gain", [2.0, 2.4, 2.6])
         assert series.values == (2.0, 2.4)
         assert len(series.skipped) == 1
-        value, reason = series.skipped[0]
+        assert series.skipped == ((2.6, "participant_gain_bound"),)
+        ((value, reason),) = series.reasons()
         assert value == 2.6
-        assert "participant_gain_bound" in reason
+        assert reason.startswith("participant_gain_bound: ")
+
+    def test_no_reasons_when_nothing_is_skipped(self):
+        series = grid_sweep(make_params(), "theta", [0.1, 0.5, 0.9])
+        assert series.skipped == series.reasons() == ()
 
     def test_all_invalid_grid_is_an_error(self):
         with pytest.raises(ParameterError) as err:
@@ -130,6 +135,8 @@ class TestGridSweep:
         ("G2", [1.0, 2.0], "leader_gain_profile: a non-partisan policy maker "
          "requires G2 = 0 and G3 > 0, got G2 = 1.0, G3 = 1.0"),
         ("s", [0.0, 1.0], "field_range: s must lie in [1e-12, 1 - 1e-12], got 0.0"),
+        # A one-point grid has no pair to compare, so NaN reaches the sweep.
+        ("theta", [math.nan], "field_range: theta must be a finite number, got nan"),
     ])
     def test_all_invalid_grid_names_the_first_rejection(self, name, grid, first):
         with pytest.raises(ParameterError) as err:
@@ -206,10 +213,11 @@ class TestGridSweep:
     def test_one_validation_and_no_result_record_per_point(self, monkeypatch):
         # A point runs its field's range check and only the relational
         # checks that read the field: none for theta, and only the
-        # participant gain bound for Gamma_gain. A row runs on a kept value
-        # only as a bisection probe; a rejected in-range value runs the rows
-        # again for its text. A skipped point builds no exception, and the
-        # scratch point the sweep overwrites leaves the base as it was.
+        # participant gain bound for Gamma_gain. A row runs only as a
+        # bisection probe: a rejected in-range value takes its key from the
+        # probes and runs no row for a text. A skipped point builds no
+        # exception, and the scratch point the sweep overwrites leaves the
+        # base as it was.
         base = make_params()
         base_fields, base_hash = dict(vars(base)), hash(base)
         validations = count_calls(monkeypatch, "validate_params")
@@ -233,22 +241,20 @@ class TestGridSweep:
         assert series.values == (1.0, 2.0, 2.4)
         assert [value for value, _ in series.skipped] == [-1.0, 0.0, 2.6, 3.0, math.inf]
         # Probes: the run's first value passes, so bisection over the rest
-        # finds the first failure, 2.6. Then the rejected 2.6 and 3.0.
-        probes, rejected = [1.0, 2.6, 2.4], [2.6, 3.0]
-        assert [p["Gamma_gain"] for p in checks["participant_gain_bound"]] == probes + rejected
+        # finds the first failure, 2.6, and no row runs on 2.6 or 3.0 again.
+        assert [p["Gamma_gain"] for p in checks["participant_gain_bound"]] == [1.0, 2.6, 2.4]
         assert checks["leader_gain_profile"] == checks["reformer_gain_bound"] == []
 
         # G3 = 0 breaks the leader gain profile, 3.6 the reformer bound 3.57.
         series = grid_sweep(base, "G3", [-1.0, 0.0, 1.0, 3.6])
         assert series.values == (1.0,)
-        assert [reason.split(":")[0] for _, reason in series.skipped] == [
-            "field_range", "leader_gain_profile", "reformer_gain_bound"]
+        assert series.skipped == ((-1.0, "field_range"), (0.0, "leader_gain_profile"),
+                                  (3.6, "reformer_gain_bound"))
         # Probes: the leader row fails at 0.0, so bisection finds its first
         # pass, 1.0; the reformer row passes at 1.0 and bisection finds its
-        # first failure, 3.6. The rejected 0.0 and 3.6 then run the rows in
-        # table order and stop at the first that fails.
-        assert [p["G3"] for p in checks["leader_gain_profile"]] == [0.0, 3.6, 1.0] + [0.0, 3.6]
-        assert [p["G3"] for p in checks["reformer_gain_bound"]] == [1.0, 3.6] + [3.6]
+        # first failure, 3.6. The rejected 0.0 and 3.6 run no row again.
+        assert [p["G3"] for p in checks["leader_gain_profile"]] == [0.0, 3.6, 1.0]
+        assert [p["G3"] for p in checks["reformer_gain_bound"]] == [1.0, 3.6]
 
         assert errors == []
         assert (vars(base), hash(base)) == (base_fields, base_hash)
@@ -273,7 +279,7 @@ class TestGridSweep:
                 try:
                     params = ModelParams(**{**vars(base), name: value})
                 except ParameterError as exc:
-                    skipped.append((value, str(exc)))
+                    skipped.append((value, exc))
                     continue
                 eq = solve_fixed_point(params)
                 values.append(value)
@@ -282,10 +288,10 @@ class TestGridSweep:
             assert series.values == tuple(values), name
             assert [tuple(getattr(p, f.name).hex() for f in fields(SweepPoint))
                     for p in series.outputs] == outputs, name
-            assert series.skipped == tuple(skipped), name
-            assert skipped[-1][1] == f"field_range: {name} must be a finite number, got inf"
+            _assert_skips(series, skipped)
+            assert str(skipped[-1][1]) == f"field_range: {name} must be a finite number, got inf"
             # Each grid crosses a relational bound when a check reads the field.
-            hit = {reason.split(":")[0] for _, reason in skipped} - {"field_range"}
+            hit = {exc.constraint for _, exc in skipped} - {"field_range"}
             assert bool(hit) == any(name in reads for _, reads in RELATIONAL_CHECKS.values())
             seen |= hit
         assert seen == set(RELATIONAL_CHECKS)
@@ -356,18 +362,26 @@ class TestPointBuilder:
 
 def _loop_sweep(base, name, grid):
     """What grid_sweep must return, from the constructor and the solver at
-    each value: the kept values, their solved columns and the skipped points."""
+    each value: the kept values, their solved columns and each skipped value
+    with the constructor's error."""
     values, columns, skipped = [], [], []
     for value in grid:
         try:
             params = ModelParams(**{**vars(base), name: value})
         except ParameterError as exc:
-            skipped.append((value, str(exc)))
+            skipped.append((value, exc))
             continue
         eq = solve_fixed_point(params)
         values.append(value)
         columns.append((eq.kappa_star, eq.x_star, eq.psi_star))
     return values, columns, skipped
+
+
+def _assert_skips(series, skipped):
+    """The series skips each value the constructor rejected, under the
+    error's constraint, and its reasons() are the errors' texts."""
+    assert series.skipped == tuple((value, exc.constraint) for value, exc in skipped)
+    assert series.reasons() == tuple((value, str(exc)) for value, exc in skipped)
 
 
 @st.composite
@@ -405,20 +419,21 @@ class TestGridSweepEquivalence:
             with pytest.raises(ParameterError) as err:
                 grid_sweep(base, name, grid)
             assert str(err.value) == (f"sweep_grid: no valid grid point for {name}; "
-                                      f"first rejection: {skipped[0][1]}")
+                                      f"first rejection: {str(skipped[0][1])}")
             return
         series = grid_sweep(base, name, grid)
         assert [v.hex() for v in series.values] == [v.hex() for v in values]
         got = zip(series.kappa_star, series.x_star, series.psi_star)
         assert [[v.hex() for v in point] for point in got] == [
             [v.hex() for v in point] for point in columns]
-        assert series.skipped == tuple(skipped)
+        _assert_skips(series, skipped)
         assert series.monotonicity is monotonicity_check([point[0] for point in columns])
 
 
 class TestBisectedRangeEnds:
-    # grid_sweep finds the values outside the range by bisection and builds
-    # their texts from one head per side; the loop builds each point.
+    # grid_sweep finds the values outside the range by bisection, and
+    # reasons() builds their texts from one head per side; the loop builds
+    # each point.
     @pytest.mark.parametrize("base", [TIGHT, TIGHT_PARTISAN], ids=["non-partisan", "partisan"])
     def test_every_kind_of_skip_in_one_grid(self, base):
         lo, hi, _ = PARAM_RANGES["a"]  # both ends are points
@@ -427,10 +442,10 @@ class TestBisectedRangeEnds:
         values, _, skipped = _loop_sweep(base, "a", grid)
         series = grid_sweep(base, "a", grid)
         assert series.values == tuple(values) == (lo, 0.3, 0.5)
-        assert series.skipped == tuple(skipped)
-        texts = [text for _, text in series.skipped]
-        assert [text.split(":")[0] for text in texts] == (
+        _assert_skips(series, skipped)
+        assert [key for _, key in series.skipped] == (
             ["field_range"] * 4 + ["participant_gain_bound"] * 3 + ["field_range"] * 4)
+        texts = [text for _, text in series.reasons()]
         assert texts[0] == "field_range: a must be a finite number, got -inf"
         assert texts[1] == "field_range: a must lie in [1e-12, 1 - 1e-12], got -1.0"
         assert texts[-2] == "field_range: a must lie in [1e-12, 1 - 1e-12], got 2.0"
@@ -445,7 +460,7 @@ class TestBisectedRangeEnds:
     ])
     def test_grid_wholly_outside_the_range(self, name, grid, first):
         _, _, skipped = _loop_sweep(make_params(), name, grid)
-        assert skipped[0][1] == first
+        assert str(skipped[0][1]) == first
         with pytest.raises(ParameterError) as err:
             grid_sweep(make_params(), name, grid)
         assert str(err.value) == (
@@ -471,6 +486,18 @@ class TestBisectedKeptRun:
             on_kept = [p for p in checks[constraint] if p[name] in kept]
             assert len(on_kept) <= 2 + math.ceil(math.log2(m)), constraint
             assert bool(checks[constraint]) == (name in reads), constraint
+
+    def test_rejected_values_run_no_row(self, monkeypatch):
+        # The bound is 2.5, so about half the in-range values are rejected;
+        # every row run is a bisection probe, kept or rejected alike.
+        grid = [i * 0.005 for i in range(1001)]
+        m = len(grid) - 1  # 0.0 is outside Gamma_gain's range
+        base = make_params()
+        checks = count_checks(monkeypatch)
+        series = grid_sweep(base, "Gamma_gain", grid)
+        rejected = [value for value, key in series.skipped if key == "participant_gain_bound"]
+        assert 400 < len(rejected) < 600
+        assert sum(map(len, checks.values())) <= 2 + math.ceil(math.log2(m))
 
 
 def _flip_values(f, name):
